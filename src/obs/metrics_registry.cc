@@ -133,31 +133,6 @@ MetricsRegistry::observe(const std::string &name, double value)
     observeLocked(it->second, value);
 }
 
-HistogramHandle
-MetricsRegistry::histogramHandle(const std::string &name)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        Histogram histogram;
-        histogram.upperBounds = defaultBuckets();
-        histogram.bucketCounts.assign(histogram.upperBounds.size() + 1, 0);
-        it = histograms_.emplace(name, std::move(histogram)).first;
-    }
-    return HistogramHandle(this, &it->second);
-}
-
-void
-HistogramHandle::observe(double value)
-{
-    if (registry_ == nullptr) {
-        return;
-    }
-    const std::lock_guard<std::mutex> lock(registry_->mutex_);
-    registry_->observeLocked(
-        *static_cast<MetricsRegistry::Histogram *>(histogram_), value);
-}
-
 std::int64_t
 MetricsRegistry::counterValue(const std::string &name) const
 {
@@ -320,14 +295,13 @@ MetricsRegistry::writeText(std::ostream &os) const
 std::vector<double>
 MetricsRegistry::latencyBucketsMs()
 {
-    return {0.5, 1, 2, 5, 10, 20, 33.3, 50, 75, 100, 150, 250, 500,
-            1000, 2500};
+    return {kLatencyBucketsMs.begin(), kLatencyBucketsMs.end()};
 }
 
 std::vector<double>
 MetricsRegistry::energyBucketsMj()
 {
-    return {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
+    return {kEnergyBucketsMj.begin(), kEnergyBucketsMj.end()};
 }
 
 std::vector<double>

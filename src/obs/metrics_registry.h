@@ -16,6 +16,7 @@
 #ifndef AUTOSCALE_OBS_METRICS_REGISTRY_H_
 #define AUTOSCALE_OBS_METRICS_REGISTRY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -72,36 +73,13 @@ class Counter {
     std::atomic<std::int64_t> value_{0};
 };
 
-class MetricsRegistry;
+/** Default latency bucket bounds, ms (sub-ms to multi-second). */
+inline constexpr std::array<double, 15> kLatencyBucketsMs = {
+    0.5, 1, 2, 5, 10, 20, 33.3, 50, 75, 100, 150, 250, 500, 1000, 2500};
 
-/**
- * Pre-resolved handle for one histogram, the histogram counterpart of
- * Counter: observe() records a sample with no name lookup or string
- * building. Handles come from MetricsRegistry::histogramHandle() and
- * stay valid for the registry's lifetime (map nodes are stable) until
- * clear() drops every metric. Unlike Counter::add(), observe() takes
- * the registry mutex — histogram sums are order-sensitive doubles, so
- * they keep the same locking discipline as MetricsRegistry::observe().
- */
-class HistogramHandle {
-  public:
-    HistogramHandle() = default;
-
-    /** Record @p value; no-op on a default-constructed handle. */
-    void observe(double value);
-
-    explicit operator bool() const { return registry_ != nullptr; }
-
-  private:
-    friend class MetricsRegistry;
-    HistogramHandle(MetricsRegistry *registry, void *histogram)
-        : registry_(registry), histogram_(histogram)
-    {
-    }
-
-    MetricsRegistry *registry_ = nullptr;
-    void *histogram_ = nullptr;
-};
+/** Default per-inference energy bucket bounds, mJ. */
+inline constexpr std::array<double, 13> kEnergyBucketsMj = {
+    0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
 
 /** Thread-safe, mergeable registry of counters, gauges, histograms. */
 class MetricsRegistry {
@@ -157,14 +135,6 @@ class MetricsRegistry {
      */
     void observe(const std::string &name, double value);
 
-    /**
-     * Pre-resolved handle for histogram @p name (auto-declared with
-     * defaultBuckets() when absent, exactly like observe()). Hot paths
-     * resolve once and record through HistogramHandle::observe() with
-     * no per-event map lookup.
-     */
-    HistogramHandle histogramHandle(const std::string &name);
-
     /** Counter value (0 when absent). */
     std::int64_t counterValue(const std::string &name) const;
 
@@ -209,10 +179,10 @@ class MetricsRegistry {
      */
     void writeText(std::ostream &os) const;
 
-    /** Default latency buckets, ms (sub-ms to multi-second). */
+    /** kLatencyBucketsMs as a vector, for declareHistogram(). */
     static std::vector<double> latencyBucketsMs();
 
-    /** Default per-inference energy buckets, mJ. */
+    /** kEnergyBucketsMj as a vector, for declareHistogram(). */
     static std::vector<double> energyBucketsMj();
 
     /** Default reward buckets (rewards are <= 0 at the mJ scale). */
@@ -222,8 +192,6 @@ class MetricsRegistry {
     static std::vector<double> defaultBuckets();
 
   private:
-    friend class HistogramHandle;
-
     struct Histogram {
         std::vector<double> upperBounds;
         std::vector<std::int64_t> bucketCounts;

@@ -95,7 +95,7 @@ class ChurnProcess {
 
     /**
      * Stop churning @p device (its run completed). Retired devices are
-     * considered active (their DeviceLoop::advance is a no-op) and
+     * considered active (their DeviceState::advance is a no-op) and
      * draw no further events.
      */
     void retire(std::size_t device);

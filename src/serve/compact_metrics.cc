@@ -1,27 +1,13 @@
 #include "serve/compact_metrics.h"
 
 #include <string>
-#include <vector>
-
-#include "obs/metrics_registry.h"
 
 namespace autoscale::serve {
 
 namespace {
 
-// Bucket bounds shared by every device block. These mirror
-// declareServeHistograms / FleetContentionMetrics::resolve exactly;
-// the fleet parity tests byte-compare metrics dumps, so any drift
-// between the two tables fails loudly.
-constexpr std::array<double, 15> kLatencyBoundsMs = {
-    0.5, 1, 2, 5, 10, 20, 33.3, 50, 75, 100, 150, 250, 500, 1000, 2500};
-constexpr std::array<double, 13> kEnergyBoundsMj = {
-    0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
-constexpr std::array<double, 9> kQueueDepthBounds = {0.0, 1.0, 2.0, 4.0,
-                                                     8.0, 16.0, 32.0,
-                                                     64.0, 128.0};
-constexpr std::array<double, 8> kDerateBounds = {0.125, 0.25, 0.375, 0.5,
-                                                 0.625, 0.75, 0.875, 1.0};
+using obs::kEnergyBucketsMj;
+using obs::kLatencyBucketsMs;
 
 template <std::size_t N>
 obs::MetricsRegistry::HistogramSnapshot
@@ -45,7 +31,7 @@ void
 CompactServeMetrics::recordShed(ServeOutcomeId outcome, int depth)
 {
     ++outcomeCounts_[static_cast<std::size_t>(outcome)];
-    queueDepth_.observe(kQueueDepthBounds, static_cast<double>(depth));
+    queueDepth_.observe(kQueueDepthBuckets, static_cast<double>(depth));
 }
 
 void
@@ -55,10 +41,8 @@ CompactServeMetrics::recordServed(sim::TargetCategoryId category,
                                   double waitMs, double latencyMs,
                                   double energyMj, int depth)
 {
-    // Same operation order as FastServeMetrics::recordServed so each
-    // histogram accumulates its (order-sensitive) sum identically.
     ++outcomeCounts_[static_cast<std::size_t>(kServed)];
-    queueDepth_.observe(kQueueDepthBounds, static_cast<double>(depth));
+    queueDepth_.observe(kQueueDepthBuckets, static_cast<double>(depth));
     ++decisionCounts_[static_cast<std::size_t>(category)];
     if (qosViolated) {
         ++qosViolations_;
@@ -72,23 +56,23 @@ CompactServeMetrics::recordServed(sim::TargetCategoryId category,
     if (faultFallback) {
         ++faultFallbacks_;
     }
-    waitMs_.observe(kLatencyBoundsMs, waitMs);
-    latencyMs_.observe(kLatencyBoundsMs, latencyMs);
-    energyMj_.observe(kEnergyBoundsMj, energyMj);
+    waitMs_.observe(kLatencyBucketsMs, waitMs);
+    latencyMs_.observe(kLatencyBucketsMs, latencyMs);
+    energyMj_.observe(kEnergyBucketsMj, energyMj);
 }
 
 void
 CompactServeMetrics::observeEdgeWait(double waitMs)
 {
     fleetResolved_ = true;
-    edgeWaitMs_.observe(kLatencyBoundsMs, waitMs);
+    edgeWaitMs_.observe(kLatencyBucketsMs, waitMs);
 }
 
 void
 CompactServeMetrics::observeCloud(double derate, bool brownoutHit)
 {
     fleetResolved_ = true;
-    congestionDerate_.observe(kDerateBounds, derate);
+    congestionDerate_.observe(kDerateBuckets, derate);
     if (brownoutHit) {
         ++brownoutServed_;
     }
@@ -118,10 +102,9 @@ CompactServeMetrics::recordFinish(std::int64_t arrivals,
 void
 CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
 {
-    // Counters: the eager five always export (created at zero by the
-    // legacy recorders' constructors); lazily resolved names export
-    // only once hit. counter() creates absent names at zero, so add()
-    // reproduces merge()'s counter fold exactly.
+    // Counters: the eager five always export; outcome and decision
+    // names export only once hit. counter() creates absent names at
+    // zero, so add() reproduces merge()'s counter fold exactly.
     parent.counter("serve.qos_violations").add(qosViolations_);
     parent.counter("serve.degraded").add(degraded_);
     parent.counter("serve.breaker.short_circuits")
@@ -144,30 +127,30 @@ CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
         }
     }
 
-    // Eagerly declared serve.* histograms (exported even untouched).
+    // serve.* histograms (exported even untouched).
     parent.mergeHistogram("serve.latency_ms",
-                          toSnapshot(latencyMs_, kLatencyBoundsMs));
+                          toSnapshot(latencyMs_, kLatencyBucketsMs));
     parent.mergeHistogram("serve.wait_ms",
-                          toSnapshot(waitMs_, kLatencyBoundsMs));
+                          toSnapshot(waitMs_, kLatencyBucketsMs));
     parent.mergeHistogram("serve.energy_mj",
-                          toSnapshot(energyMj_, kEnergyBoundsMj));
+                          toSnapshot(energyMj_, kEnergyBucketsMj));
     parent.mergeHistogram("serve.queue_depth",
-                          toSnapshot(queueDepth_, kQueueDepthBounds));
+                          toSnapshot(queueDepth_, kQueueDepthBuckets));
 
     // serve.fleet.* only exists once a request touched shared
-    // infrastructure (FleetContentionMetrics::resolve creates all
-    // three names together, brownout_served possibly still zero).
+    // infrastructure; then all three names export together,
+    // brownout_served possibly still zero.
     if (fleetResolved_) {
         parent.mergeHistogram("serve.fleet.edge_wait_ms",
-                              toSnapshot(edgeWaitMs_, kLatencyBoundsMs));
+                              toSnapshot(edgeWaitMs_, kLatencyBucketsMs));
         parent.mergeHistogram(
             "serve.fleet.congestion_derate",
-            toSnapshot(congestionDerate_, kDerateBounds));
+            toSnapshot(congestionDerate_, kDerateBuckets));
         parent.counter("serve.fleet.brownout_served").add(brownoutServed_);
     }
 
     // End-of-run block (DeviceState::finish). Gauges last-write-wins in
-    // flush order, matching the legacy device-index merge order.
+    // flush order, i.e. the last device's value.
     if (finishRecorded_) {
         parent.inc("serve.arrivals", arrivals_);
         parent.inc("serve.breaker.opens", breakerOpens_);

@@ -1,24 +1,24 @@
 /**
  * @file
- * CompactServeMetrics: a pooled, allocation-free per-device metrics
- * block for compact fleets (DESIGN.md §18).
+ * CompactServeMetrics: the allocation-free metrics block every serving
+ * device records into (DESIGN.md §18).
  *
- * The legacy fleet gives every device a private MetricsRegistry (three
- * node-based maps, a mutex, and per-metric string keys — kilobytes per
- * device before the first sample) and merges them into the parent
- * registry in device-index order. This block records the exact same
- * serve-loop metric set into fixed-size arrays, and `flush()` folds it
- * into the parent with the exact merge() semantics:
+ * A MetricsRegistry per device would cost three node-based maps, a
+ * mutex, and per-metric string keys — kilobytes per device before the
+ * first sample — and a shared registry would take its mutex on every
+ * histogram sample. This block records the serve-loop metric set into
+ * fixed-size arrays, and `flush()` folds it into a registry with
+ * MetricsRegistry::merge() semantics:
  *
- *  - counters add (a lazily created counter exists iff it was hit, so
- *    the exported metric-name set matches the legacy recorders');
+ *  - counters add; an outcome or decision counter exports only once it
+ *    was hit, so the metric-name set depends only on what happened;
  *  - gauges last-write-wins in flush order (== device-index order);
  *  - histogram sums are left-folded per device in observation order and
- *    then across devices in flush order — the same two-level fold the
- *    legacy per-device registries produce.
+ *    then across devices in flush order.
  *
  * Flushing every device block in device-index order therefore yields a
- * byte-identical metrics export (tests/test_fleet pins this).
+ * metrics export independent of shards and jobs (tests/test_fleet and
+ * the fleet goldens pin it).
  */
 
 #ifndef AUTOSCALE_SERVE_COMPACT_METRICS_H_
@@ -27,14 +27,19 @@
 #include <array>
 #include <cstdint>
 
+#include "obs/metrics_registry.h"
 #include "serve/device_state.h"
 #include "sim/target.h"
 
-namespace autoscale::obs {
-class MetricsRegistry;
-} // namespace autoscale::obs
-
 namespace autoscale::serve {
+
+/** serve.queue_depth bucket bounds. */
+inline constexpr std::array<double, 9> kQueueDepthBuckets = {
+    0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
+
+/** serve.fleet.congestion_derate bucket bounds. */
+inline constexpr std::array<double, 8> kDerateBuckets = {
+    0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0};
 
 /**
  * Fixed-capacity histogram accumulator: bucket counts plus the
@@ -74,12 +79,7 @@ struct CompactHistogram {
     }
 };
 
-/**
- * One compact fleet device's complete serve-metrics state. The
- * recording interface mirrors FastServeMetrics (device_loop.cc) call
- * for call, including the operation order inside recordServed, so the
- * per-histogram folds accumulate identically.
- */
+/** One serving device's complete serve-metrics state. */
 class CompactServeMetrics {
   public:
     void recordShed(ServeOutcomeId outcome, int depth);
@@ -89,8 +89,9 @@ class CompactServeMetrics {
                       double waitMs, double latencyMs, double energyMj,
                       int depth);
 
-    /** serve.fleet.* contention series (lazily resolved, like
-     * FleetContentionMetrics: the names only export once touched). */
+    /** serve.fleet.* contention series: the three names export
+     * together, and only once a request touched shared infrastructure,
+     * so an uncontended run exports the single-device name set. */
     void observeEdgeWait(double waitMs);
     void observeCloud(double derate, bool brownoutHit);
 
@@ -111,9 +112,8 @@ class CompactServeMetrics {
   private:
     // Counter values. The five "eager" counters (qos_violations,
     // degraded, breaker.short_circuits, fault.fallbacks, checkpoints)
-    // always export, even at zero, exactly like the legacy recorders'
-    // constructor-resolved handles; outcome/decision counters export
-    // only once hit (their first hit is what creates them).
+    // always export, even at zero; outcome/decision counters export
+    // only once hit.
     std::int64_t qosViolations_ = 0;
     std::int64_t degraded_ = 0;
     std::int64_t breakerShortCircuits_ = 0;
@@ -122,17 +122,17 @@ class CompactServeMetrics {
     std::array<std::int64_t, kNumServeOutcomes> outcomeCounts_{};
     std::array<std::int64_t, sim::kNumTargetCategories> decisionCounts_{};
 
-    // Eagerly declared serve.* histograms (declareServeHistograms).
-    CompactHistogram<15> latencyMs_;
-    CompactHistogram<15> waitMs_;
-    CompactHistogram<13> energyMj_;
-    CompactHistogram<9> queueDepth_;
+    // serve.* histograms (always exported, even empty).
+    CompactHistogram<obs::kLatencyBucketsMs.size()> latencyMs_;
+    CompactHistogram<obs::kLatencyBucketsMs.size()> waitMs_;
+    CompactHistogram<obs::kEnergyBucketsMj.size()> energyMj_;
+    CompactHistogram<kQueueDepthBuckets.size()> queueDepth_;
 
-    // Lazily resolved serve.fleet.* series.
+    // serve.fleet.* series (exported once touched).
     bool fleetResolved_ = false;
     std::int64_t brownoutServed_ = 0;
-    CompactHistogram<15> edgeWaitMs_;
-    CompactHistogram<8> congestionDerate_;
+    CompactHistogram<obs::kLatencyBucketsMs.size()> edgeWaitMs_;
+    CompactHistogram<kDerateBuckets.size()> congestionDerate_;
 
     // End-of-run block (recorded by DeviceState::finish exactly once).
     bool finishRecorded_ = false;

@@ -1,13 +1,9 @@
-#include "serve/device_loop.h"
+#include "serve/device_state.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
+#include <cstring>
 #include <fstream>
-#include <limits>
-#include <map>
 #include <memory>
-#include <optional>
 
 #include "baselines/fixed.h"
 #include "baselines/policy.h"
@@ -16,9 +12,7 @@
 #include "dnn/network.h"
 #include "harness/autoscale_policy.h"
 #include "harness/experiment.h"
-#include "obs/metrics_registry.h"
 #include "serve/compact_metrics.h"
-#include "serve/device_state.h"
 #include "sim/batch_engine.h"
 #include "util/logging.h"
 
@@ -64,268 +58,12 @@ makeServeEvent(const baselines::SchedulingPolicy &policy,
 
 } // namespace
 
-void
-declareServeHistograms(obs::MetricsRegistry &metrics)
-{
-    metrics.declareHistogram("serve.latency_ms",
-                             obs::MetricsRegistry::latencyBucketsMs());
-    metrics.declareHistogram("serve.wait_ms",
-                             obs::MetricsRegistry::latencyBucketsMs());
-    metrics.declareHistogram("serve.energy_mj",
-                             obs::MetricsRegistry::energyBucketsMj());
-    metrics.declareHistogram("serve.queue_depth",
-                             {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
-                              128.0});
-}
-
-/**
- * Per-run serve counter handles. The fixed counters are resolved once
- * at construction and the per-outcome / per-category names memoized on
- * first sight, so the steady-state loop increments through pre-resolved
- * handles with no string building or registry name lookups.
- */
-class ServeMetricsRecorder {
-  public:
-    explicit ServeMetricsRecorder(obs::MetricsRegistry &metrics)
-        : metrics_(metrics),
-          qosViolations_(&metrics.counter("serve.qos_violations")),
-          degraded_(&metrics.counter("serve.degraded")),
-          breakerShortCircuits_(
-              &metrics.counter("serve.breaker.short_circuits")),
-          faultFallbacks_(&metrics.counter("serve.fault.fallbacks")),
-          checkpoints_(&metrics.counter("serve.checkpoints"))
-    {
-    }
-
-    /** Handle for the checkpoint-written counter. */
-    obs::Counter &checkpoints() { return *checkpoints_; }
-
-    void
-    record(const obs::DecisionEvent &event)
-    {
-        counterFor(outcomeCounters_, event.serveOutcome, [&] {
-            return "serve." + event.serveOutcome;
-        }).add();
-        metrics_.observe("serve.queue_depth",
-                         static_cast<double>(event.queueDepth));
-        if (event.serveOutcome != "served") {
-            return;
-        }
-        counterFor(decisionCounters_, event.category, [&] {
-            return "serve.decisions." + obs::metricSlug(event.category);
-        }).add();
-        if (event.qosViolated) {
-            qosViolations_->add();
-        }
-        if (event.degradeLevel > 0) {
-            degraded_->add();
-        }
-        if (event.breakerShortCircuit) {
-            breakerShortCircuits_->add();
-        }
-        if (event.faultFallback) {
-            faultFallbacks_->add();
-        }
-        metrics_.observe("serve.wait_ms", event.queueWaitMs);
-        metrics_.observe("serve.latency_ms", event.latencyMs);
-        metrics_.observe("serve.energy_mj", event.energyJ * 1e3);
-    }
-
-  private:
-    /** Memoized handle; @p makeName runs only on first sight of key. */
-    template <typename NameFn>
-    obs::Counter &
-    counterFor(std::map<std::string, obs::Counter *> &memo,
-               const std::string &key, NameFn &&makeName)
-    {
-        const auto it = memo.find(key);
-        if (it != memo.end()) {
-            return *it->second;
-        }
-        obs::Counter &counter = metrics_.counter(makeName());
-        memo.emplace(key, &counter);
-        return counter;
-    }
-
-    obs::MetricsRegistry &metrics_;
-    obs::Counter *qosViolations_;
-    obs::Counter *degraded_;
-    obs::Counter *breakerShortCircuits_;
-    obs::Counter *faultFallbacks_;
-    obs::Counter *checkpoints_;
-    std::map<std::string, obs::Counter *> outcomeCounters_;
-    std::map<std::string, obs::Counter *> decisionCounters_;
-};
-
-/**
- * Allocation-free serve metrics recorder for the batched path. Where
- * ServeMetricsRecorder keys its memos by strings taken from a built
- * DecisionEvent, this recorder is indexed by dense outcome/category
- * ids through pre-resolved Counter and HistogramHandle handles, so a
- * metering-only run records a served request with no DecisionEvent,
- * no string building, and no map lookup.
- *
- * Parity: the per-outcome and per-category counters are still resolved
- * lazily, on first hit, so the *set* of exported metric names — and
- * therefore the metrics dump — is byte-identical to the scalar
- * recorder's (a counter that was never incremented must not appear).
- */
-class FastServeMetrics {
-  public:
-    explicit FastServeMetrics(obs::MetricsRegistry &metrics)
-        : metrics_(metrics),
-          qosViolations_(&metrics.counter("serve.qos_violations")),
-          degraded_(&metrics.counter("serve.degraded")),
-          breakerShortCircuits_(
-              &metrics.counter("serve.breaker.short_circuits")),
-          faultFallbacks_(&metrics.counter("serve.fault.fallbacks")),
-          checkpoints_(&metrics.counter("serve.checkpoints")),
-          queueDepth_(metrics.histogramHandle("serve.queue_depth")),
-          waitMs_(metrics.histogramHandle("serve.wait_ms")),
-          latencyMs_(metrics.histogramHandle("serve.latency_ms")),
-          energyMj_(metrics.histogramHandle("serve.energy_mj"))
-    {
-        outcomeCounters_.fill(nullptr);
-        decisionCounters_.fill(nullptr);
-    }
-
-    /** Handle for the checkpoint-written counter. */
-    obs::Counter &checkpoints() { return *checkpoints_; }
-
-    void
-    recordShed(ServeOutcomeId outcome, int depth)
-    {
-        outcomeCounter(outcome).add();
-        queueDepth_.observe(static_cast<double>(depth));
-    }
-
-    void
-    recordServed(sim::TargetCategoryId category, bool qosViolated,
-                 bool degraded, bool shortCircuit, bool faultFallback,
-                 double waitMs, double latencyMs, double energyMj,
-                 int depth)
-    {
-        // Same operation order as ServeMetricsRecorder::record so each
-        // histogram accumulates its (order-sensitive) sum identically.
-        outcomeCounter(kServed).add();
-        queueDepth_.observe(static_cast<double>(depth));
-        decisionCounter(category).add();
-        if (qosViolated) {
-            qosViolations_->add();
-        }
-        if (degraded) {
-            degraded_->add();
-        }
-        if (shortCircuit) {
-            breakerShortCircuits_->add();
-        }
-        if (faultFallback) {
-            faultFallbacks_->add();
-        }
-        waitMs_.observe(waitMs);
-        latencyMs_.observe(latencyMs);
-        energyMj_.observe(energyMj);
-    }
-
-  private:
-    obs::Counter &
-    outcomeCounter(ServeOutcomeId outcome)
-    {
-        const auto index = static_cast<std::size_t>(outcome);
-        if (outcomeCounters_[index] == nullptr) {
-            outcomeCounters_[index] = &metrics_.counter(
-                std::string("serve.") + kServeOutcomeNames[index]);
-        }
-        return *outcomeCounters_[index];
-    }
-
-    obs::Counter &
-    decisionCounter(sim::TargetCategoryId category)
-    {
-        const auto index = static_cast<std::size_t>(category);
-        AS_CHECK(index < decisionCounters_.size());
-        if (decisionCounters_[index] == nullptr) {
-            decisionCounters_[index] = &metrics_.counter(
-                "serve.decisions."
-                + obs::metricSlug(sim::targetCategoryName(category)));
-        }
-        return *decisionCounters_[index];
-    }
-
-    obs::MetricsRegistry &metrics_;
-    obs::Counter *qosViolations_;
-    obs::Counter *degraded_;
-    obs::Counter *breakerShortCircuits_;
-    obs::Counter *faultFallbacks_;
-    obs::Counter *checkpoints_;
-    obs::HistogramHandle queueDepth_;
-    obs::HistogramHandle waitMs_;
-    obs::HistogramHandle latencyMs_;
-    obs::HistogramHandle energyMj_;
-    std::array<obs::Counter *, kNumServeOutcomes> outcomeCounters_;
-    std::array<obs::Counter *, sim::kNumTargetCategories>
-        decisionCounters_;
-};
-
-/**
- * Fleet-mode contention metrics (serve.fleet.*), recorded by both the
- * scalar and batched paths so --batch 0 fleets meter identically.
- * Declaration is lazy — the serve.fleet.* series only appear once a
- * request actually touched shared infrastructure, so an uncontended
- * fleet (or a fleet of one) exports the exact pre-fleet metric-name
- * set.
- */
-struct FleetContentionMetrics {
-    explicit FleetContentionMetrics(obs::MetricsRegistry &metrics_in)
-        : metrics(&metrics_in)
-    {
-    }
-
-    void
-    observeEdgeWait(double waitMs)
-    {
-        resolve();
-        edgeWaitMs.observe(waitMs);
-    }
-
-    void
-    observeCloud(double derateValue, bool brownoutHit)
-    {
-        resolve();
-        derate.observe(derateValue);
-        if (brownoutHit) {
-            brownoutServed->add();
-        }
-    }
-
-private:
-    void
-    resolve()
-    {
-        if (brownoutServed != nullptr) {
-            return;
-        }
-        metrics->declareHistogram("serve.fleet.edge_wait_ms",
-                                  obs::MetricsRegistry::latencyBucketsMs());
-        metrics->declareHistogram("serve.fleet.congestion_derate",
-                                  {0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                                   0.875, 1.0});
-        edgeWaitMs = metrics->histogramHandle("serve.fleet.edge_wait_ms");
-        derate = metrics->histogramHandle("serve.fleet.congestion_derate");
-        brownoutServed = &metrics->counter("serve.fleet.brownout_served");
-    }
-
-    obs::MetricsRegistry *metrics;
-    obs::HistogramHandle edgeWaitMs;
-    obs::HistogramHandle derate;
-    obs::Counter *brownoutServed = nullptr;
-};
-
 DevicePlan
 makeDevicePlan(const sim::InferenceSimulator &sim,
                const ServeConfig &config)
 {
     AS_CHECK(config.totalRequests > 0);
+    AS_CHECK(config.batchSize >= 1);
     DevicePlan plan;
     plan.sim = &sim;
     plan.config = config;
@@ -353,42 +91,18 @@ makeDevicePlan(const sim::InferenceSimulator &sim,
     return plan;
 }
 
-DeviceState::DeviceState(const sim::InferenceSimulator &sim_in,
-                         const ServeConfig &config_in,
-                         const obs::ObsContext &obs_in, int deviceId_in,
-                         const core::AutoScaleScheduler *warmStart)
-    : planOwner(std::make_unique<DevicePlan>(
-          makeDevicePlan(sim_in, config_in))),
-      obs(obs_in), deviceId(deviceId_in)
-{
-    plan = planOwner.get();
-    init(config().seed, warmStart, nullptr);
-}
-
+/**
+ * The statement order fixes the RNG fan-out and every side effect, so
+ * the device's trajectory is a pure function of (plan, seed, warmStart).
+ */
 DeviceState::DeviceState(const DevicePlan &plan_in,
-                         const obs::ObsContext &obs_in, int deviceId_in,
+                         obs::TraceRecorder *trace_in,
+                         CompactServeMetrics *metrics_in, int deviceId_in,
                          std::uint64_t seed,
                          const core::AutoScaleScheduler *warmStart,
-                         sim::BatchDecisionEngine *sharedEngine)
-    : plan(&plan_in), obs(obs_in), deviceId(deviceId_in)
-{
-    init(seed, warmStart, sharedEngine);
-}
-
-DeviceState::~DeviceState() = default;
-DeviceState::DeviceState(DeviceState &&) = default;
-DeviceState &DeviceState::operator=(DeviceState &&) = default;
-
-/**
- * Construction tail shared by the standalone and fleet ctors. The
- * statement order replays the original runServe body exactly — the RNG
- * fan-out and every side effect happen in the same sequence, so a
- * full-run advance() is bit-identical to the pre-refactor loop.
- */
-void
-DeviceState::init(std::uint64_t seed,
-                  const core::AutoScaleScheduler *warmStart,
-                  sim::BatchDecisionEngine *sharedEngine)
+                         sim::BatchDecisionEngine &engine_in)
+    : plan(&plan_in), trace(trace_in), metrics(metrics_in),
+      deviceId(deviceId_in), engine(&engine_in)
 {
     stats.breakerEnabled = config().breakerEnabled;
 
@@ -511,39 +225,8 @@ DeviceState::init(std::uint64_t seed,
     probeRetry = config().retry;
     probeRetry.maxRetries = 0;
 
-    // Batched (SoA gather/commit) vs scalar reference dispatch. Both
-    // paths produce byte-identical output (DESIGN.md §14); the batched
-    // path records through dense pre-resolved handles and skips
-    // DecisionEvent construction entirely when only metering is on.
-    batched = config().batchSize >= 1;
-
-    if (obs.metering()) {
-        declareServeHistograms(*obs.metrics);
-        if (batched) {
-            fastMetrics = std::make_unique<FastServeMetrics>(*obs.metrics);
-        } else {
-            serveMetrics =
-                std::make_unique<ServeMetricsRecorder>(*obs.metrics);
-        }
-        if (deviceId >= 0) {
-            fleetMetrics =
-                std::make_unique<FleetContentionMetrics>(*obs.metrics);
-        }
-    }
-    if (batched) {
-        if (sharedEngine != nullptr) {
-            engine = sharedEngine;
-        } else {
-            ownedEngine = std::make_unique<sim::BatchDecisionEngine>(
-                sim(), static_cast<std::size_t>(config().batchSize));
-            engine = ownedEngine.get();
-        }
-    }
-
-    clockMs = 0.0;
     ewmaServiceMs = plan->nominalServiceMs;
     pendingArrivalMs = arrivals->nextArrivalMs();
-    arrivalsDone = false;
 }
 
 void
@@ -560,14 +243,8 @@ DeviceState::checkpointNow()
         fatal("serve: checkpoint failed: " + error);
     }
     stats.checkpointsWritten = manager->written();
-    if (serveMetrics) {
-        serveMetrics->checkpoints().add();
-    }
-    if (fastMetrics) {
-        fastMetrics->checkpoints().add();
-    }
-    if (block != nullptr) {
-        block->recordCheckpoint();
+    if (metrics != nullptr) {
+        metrics->recordCheckpoint();
     }
 }
 
@@ -575,13 +252,10 @@ void
 DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
                         int depth)
 {
-    if (fastMetrics) {
-        fastMetrics->recordShed(outcome, depth);
+    if (metrics != nullptr) {
+        metrics->recordShed(outcome, depth);
     }
-    if (block != nullptr) {
-        block->recordShed(outcome, depth);
-    }
-    if (!serveMetrics && !obs.tracing()) {
+    if (trace == nullptr) {
         return;
     }
     obs::DecisionEvent event = makeServeEvent(
@@ -604,12 +278,7 @@ DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
             event.edgeOutage = shared->edgeOutage;
         }
     }
-    if (serveMetrics) {
-        serveMetrics->record(event);
-    }
-    if (obs.tracing()) {
-        obs.trace->record(std::move(event));
-    }
+    trace->record(std::move(event));
 }
 
 // Admit every arrival at or before the current virtual time.
@@ -650,14 +319,12 @@ DeviceState::admitUpTo(double nowMs)
     }
 }
 
-// Commit one popped request — the shared body of the scalar and
-// batched loops. @p batchEngine is non-null on the batched path, where
-// it supplies the memoized best-local-target (identical values,
-// computed once per request instead of up to three times).
+// Commit one popped request. The engine supplies the memoized
+// best-local-target (identical values, computed once per request
+// instead of up to three times).
 void
 DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
-                           int depthAtDequeue,
-                           sim::BatchDecisionEngine *batchEngine)
+                           int depthAtDequeue)
 {
     const Workload &workload = plan->workloads[
         static_cast<std::size_t>(queued.networkIndex)];
@@ -678,11 +345,8 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     // to three sites below with identical arguments. The function
     // is pure, so the engine memo is bit-identical to recomputing.
     auto bestLocal = [&]() {
-        return batchEngine != nullptr
-            ? batchEngine->bestLocalTarget(*workload.network, env,
-                                           config().accuracyTargetPct)
-            : sim().bestLocalTarget(*workload.network, env,
-                                    config().accuracyTargetPct);
+        return engine->bestLocalTarget(*workload.network, env,
+                                       config().accuracyTargetPct);
     };
 
     // Graceful degradation: under queue pressure, force expensive
@@ -766,11 +430,8 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             usage.edgeBusyMs += serviceMs;
             ++usage.edgeJobs;
             serviceMs += edgeWaitMs;
-            if (fleetMetrics) {
-                fleetMetrics->observeEdgeWait(edgeWaitMs);
-            }
-            if (block != nullptr) {
-                block->observeEdgeWait(edgeWaitMs);
+            if (metrics != nullptr) {
+                metrics->observeEdgeWait(edgeWaitMs);
             }
         } else if (place == sim::TargetPlace::Cloud) {
             // Congested Wi-Fi stretches the transfer (rate derate), and
@@ -784,11 +445,8 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             }
             usage.cloudBusyMs += serviceMs;
             ++usage.cloudJobs;
-            if (fleetMetrics) {
-                fleetMetrics->observeCloud(derate, brownoutHit);
-            }
-            if (block != nullptr) {
-                block->observeCloud(derate, brownoutHit);
+            if (metrics != nullptr) {
+                metrics->observeCloud(derate, brownoutHit);
             }
         }
     }
@@ -814,27 +472,17 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
         || measured.accuracyPct < workload.request.accuracyTargetPct) {
         ++stats.accuracyViolations;
     }
-    if (batchEngine != nullptr) {
-        ++categoryTally[static_cast<std::size_t>(decision.categoryId())];
-    } else {
-        ++stats.categoryCounts[decision.category()];
-    }
+    ++categoryTally[static_cast<std::size_t>(decision.categoryId())];
     ewmaServiceMs = (1.0 - kServiceEwmaAlpha) * ewmaServiceMs
         + kServiceEwmaAlpha * serviceMs;
 
-    if (fastMetrics) {
-        fastMetrics->recordServed(
+    if (metrics != nullptr) {
+        metrics->recordServed(
             decision.categoryId(), qosViolated, degraded, shortCircuited,
             faultResult.fellBack, waitMs, latencyMs,
             measured.energyJ * 1e3, depthAtDequeue);
     }
-    if (block != nullptr) {
-        block->recordServed(
-            decision.categoryId(), qosViolated, degraded, shortCircuited,
-            faultResult.fellBack, waitMs, latencyMs,
-            measured.energyJ * 1e3, depthAtDequeue);
-    }
-    if (serveMetrics || obs.tracing()) {
+    if (trace != nullptr) {
         obs::DecisionEvent event = makeServeEvent(
             *policy, workload, scenario->name(), "served", depthAtDequeue,
             stats.checkpointsWritten);
@@ -880,12 +528,7 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             }
         }
         policy->describeLastDecision(event);
-        if (serveMetrics) {
-            serveMetrics->record(event);
-        }
-        if (obs.tracing()) {
-            obs.trace->record(std::move(event));
-        }
+        trace->record(std::move(event));
     }
 
     clockMs = finishMs;
@@ -895,12 +538,22 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     }
 }
 
-// Scalar reference loop: one admit/pop/commit per iteration. With
-// untilMs == +inf this is the original runServe loop verbatim; a
-// finite barrier pauses before processing anything at or beyond it.
+// The serving loop: gather the ready queue prefix into the engine's
+// slots (a peek — admission only appends, so the prefix stays valid),
+// then commit the slots sequentially: admissions run between commits,
+// and the degrade level and depth are read at pop time. An epoch
+// barrier may interrupt mid-batch: un-popped slots simply stay queued
+// and are re-gathered next epoch, so the commit sequence is identical
+// for every barrier placement and every batch size.
 void
-DeviceState::scalarLoop(double untilMs)
+DeviceState::advance(double untilMs, const SharedSnapshot *shared_in,
+                     std::int64_t atEpoch)
 {
+    if (loopDone) {
+        return;
+    }
+    shared = shared_in;
+    epoch = atEpoch;
     while (clockMs < untilMs) {
         admitUpTo(clockMs);
         if (queue->empty()) {
@@ -910,37 +563,6 @@ DeviceState::scalarLoop(double untilMs)
             }
             if (pendingArrivalMs >= untilMs) {
                 // Idle until after the barrier; the next epoch jumps.
-                break;
-            }
-            // Idle: jump to the next arrival.
-            clockMs = std::max(clockMs, pendingArrivalMs);
-            continue;
-        }
-        const int degradeLevel = queue->degradeLevel();
-        const QueuedRequest queued = queue->pop();
-        const int depthAtDequeue = static_cast<int>(queue->depth()) + 1;
-        commitRequest(queued, degradeLevel, depthAtDequeue, nullptr);
-    }
-}
-
-// Batched SoA path: gather the ready queue prefix into the engine's
-// slots (a peek — admission only appends, so the prefix stays valid),
-// then commit the slots sequentially, replaying the scalar loop's
-// exact operation order (admissions between commits, degrade level and
-// depth read at pop time). An epoch barrier may interrupt mid-batch:
-// un-popped slots simply stay queued and are re-gathered next epoch,
-// so the commit sequence is identical for every barrier placement.
-void
-DeviceState::batchedLoop(double untilMs)
-{
-    while (clockMs < untilMs) {
-        admitUpTo(clockMs);
-        if (queue->empty()) {
-            if (arrivalsDone) {
-                loopDone = true;
-                break;
-            }
-            if (pendingArrivalMs >= untilMs) {
                 break;
             }
             // Idle: jump to the next arrival.
@@ -964,8 +586,8 @@ DeviceState::batchedLoop(double untilMs)
                 break;
             }
             if (slot > 0) {
-                // What the scalar loop's next iteration would have
-                // admitted before popping this request.
+                // Arrivals up to now join the queue before this pop,
+                // exactly as if each request were its own tick.
                 admitUpTo(clockMs);
             }
             engine->beginRequest();
@@ -974,28 +596,15 @@ DeviceState::batchedLoop(double untilMs)
             AS_CHECK(queued.id == engine->id(slot));
             const int depthAtDequeue =
                 static_cast<int>(queue->depth()) + 1;
-            commitRequest(queued, degradeLevel, depthAtDequeue, engine);
+            commitRequest(queued, degradeLevel, depthAtDequeue);
         }
     }
-}
-
-void
-DeviceState::advance(double untilMs)
-{
-    if (loopDone) {
-        return;
-    }
-    if (!batched) {
-        scalarLoop(untilMs);
-    } else {
-        batchedLoop(untilMs);
-    }
+    shared = nullptr;
 }
 
 // Churn: discard every queued request (the device's volatile in-flight
 // state). Runs at an epoch barrier, single-threaded, so the shed
-// records land in the device's private sinks in a shard-independent
-// order.
+// records land in the device's sinks in a shard-independent order.
 std::int64_t
 DeviceState::discardQueue(std::int64_t atEpoch)
 {
@@ -1053,9 +662,8 @@ DeviceState::finish()
     AS_CHECK(!finished);
     finished = true;
 
-    // Fold the batched path's dense tally into the report's name-keyed
-    // map. Zero-count categories are skipped, matching the scalar map,
-    // which only creates keys it increments.
+    // Fold the dense tally into the report's name-keyed map; zero-count
+    // categories get no key.
     for (std::size_t i = 0; i < categoryTally.size(); ++i) {
         if (categoryTally[i] > 0) {
             stats.categoryCounts[sim::targetCategoryName(
@@ -1089,21 +697,8 @@ DeviceState::finish()
         stats.wlanBreaker.shortCircuits + stats.p2pBreaker.shortCircuits;
     stats.endClockMs = clockMs;
 
-    if (obs.metering()) {
-        obs.metrics->inc("serve.arrivals", stats.arrivals);
-        obs.metrics->inc("serve.breaker.opens",
-                         stats.wlanBreaker.opens + stats.p2pBreaker.opens);
-        obs.metrics->inc("serve.breaker.probes",
-                         stats.wlanBreaker.probes
-                             + stats.p2pBreaker.probes);
-        obs.metrics->set("serve.max_queue_depth",
-                         static_cast<double>(stats.maxQueueDepth));
-        obs.metrics->set("serve.breaker.open_ms",
-                         stats.wlanBreaker.totalOpenMs
-                             + stats.p2pBreaker.totalOpenMs);
-    }
-    if (block != nullptr) {
-        block->recordFinish(
+    if (metrics != nullptr) {
+        metrics->recordFinish(
             stats.arrivals,
             stats.wlanBreaker.opens + stats.p2pBreaker.opens,
             stats.wlanBreaker.probes + stats.p2pBreaker.probes,
@@ -1113,82 +708,22 @@ DeviceState::finish()
     return std::move(stats);
 }
 
-DeviceLoop::DeviceLoop(const sim::InferenceSimulator &sim,
-                       const ServeConfig &config,
-                       const obs::ObsContext &obs, int deviceId,
-                       const core::AutoScaleScheduler *warmStart)
-    : owned_(std::make_unique<DeviceState>(sim, config, obs, deviceId,
-                                           warmStart)),
-      state_(owned_.get())
-{
-}
-
-DeviceLoop::DeviceLoop(DeviceState *state) : state_(state)
-{
-}
-
-DeviceLoop::~DeviceLoop() = default;
-DeviceLoop::DeviceLoop(DeviceLoop &&) noexcept = default;
-DeviceLoop &DeviceLoop::operator=(DeviceLoop &&) noexcept = default;
-
-void
-DeviceLoop::advance(double untilMs, const SharedSnapshot *shared,
-                    std::int64_t epoch)
-{
-    state_->shared = shared;
-    state_->epoch = epoch;
-    state_->advance(untilMs);
-    state_->shared = nullptr;
-}
-
-bool
-DeviceLoop::done() const
-{
-    return state_->loopDone;
-}
-
-double
-DeviceLoop::clockMs() const
-{
-    return state_->clockMs;
-}
-
 EpochUsage
-DeviceLoop::takeEpochUsage()
+DeviceState::takeEpochUsage()
 {
-    const EpochUsage taken = state_->usage;
-    state_->usage = EpochUsage{};
+    const EpochUsage taken = usage;
+    usage = EpochUsage{};
     return taken;
 }
 
 core::AutoScaleScheduler *
-DeviceLoop::scheduler()
+DeviceState::scheduler() const
 {
-    return state_->learner != nullptr ? &state_->learner->scheduler()
-                                      : nullptr;
-}
-
-const core::AutoScaleScheduler *
-DeviceLoop::scheduler() const
-{
-    return state_->learner != nullptr ? &state_->learner->scheduler()
-                                      : nullptr;
-}
-
-ServeStats
-DeviceLoop::finish()
-{
-    return state_->finish();
-}
-
-std::size_t
-DeviceLoop::queueDepth() const
-{
-    return state_->queue->depth();
+    return learner != nullptr ? &learner->scheduler() : nullptr;
 }
 
 std::uint64_t
-DeviceLoop::stateDigest() const
+DeviceState::stateDigest() const
 {
     // Non-destructive (unlike the RNG fingerprint, which consumes one
     // draw per stream): a barrier-time fold of the loop state a replay
@@ -1201,51 +736,42 @@ DeviceLoop::stateDigest() const
     auto foldDouble = [&fold](std::uint64_t hash, double value) {
         std::uint64_t bits = 0;
         static_assert(sizeof(bits) == sizeof(value));
-        __builtin_memcpy(&bits, &value, sizeof(bits));
+        std::memcpy(&bits, &value, sizeof(bits));
         return fold(hash, bits);
     };
-    const DeviceState &state = *state_;
     std::uint64_t digest = 0;
-    digest = foldDouble(digest, state.clockMs);
-    digest = foldDouble(digest, state.pendingArrivalMs);
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.arrivals));
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.admitted));
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.served));
-    digest = fold(digest,
-                  static_cast<std::uint64_t>(state.stats.shedDeadline
-                                             + state.stats.shedOverflow
-                                             + state.stats.shedStale));
-    digest =
-        fold(digest, static_cast<std::uint64_t>(state.stats.shedChurn));
-    digest = foldDouble(digest, state.stats.energyJ);
-    digest = fold(digest, state.queue->depth());
-    digest = fold(digest, state.loopDone ? 1 : 0);
+    digest = foldDouble(digest, clockMs);
+    digest = foldDouble(digest, pendingArrivalMs);
+    digest = fold(digest, static_cast<std::uint64_t>(stats.arrivals));
+    digest = fold(digest, static_cast<std::uint64_t>(stats.admitted));
+    digest = fold(digest, static_cast<std::uint64_t>(stats.served));
+    digest = fold(digest, static_cast<std::uint64_t>(stats.shedDeadline
+                                                     + stats.shedOverflow
+                                                     + stats.shedStale));
+    digest = fold(digest, static_cast<std::uint64_t>(stats.shedChurn));
+    digest = foldDouble(digest, stats.energyJ);
+    digest = fold(digest, queue->depth());
+    digest = fold(digest, loopDone ? 1 : 0);
     return digest;
 }
 
 std::int64_t
-DeviceLoop::churnCrash(std::int64_t epoch)
+DeviceState::churnCrash(std::int64_t atEpoch)
 {
-    const std::int64_t dropped = state_->discardQueue(epoch);
+    const std::int64_t dropped = discardQueue(atEpoch);
     // The in-flight transition dies with the process: a virtual no-op
     // for fixed policies, AutoScaleScheduler::discardPending for the
-    // learner — the exact pre-§18 behavior.
-    state_->policy->discardPending();
+    // learner.
+    policy->discardPending();
     return dropped;
 }
 
 std::int64_t
-DeviceLoop::churnLeave(std::int64_t epoch)
+DeviceState::churnLeave(std::int64_t atEpoch)
 {
-    const std::int64_t dropped = state_->discardQueue(epoch);
-    state_->policy->finishEpisode();
+    const std::int64_t dropped = discardQueue(atEpoch);
+    policy->finishEpisode();
     return dropped;
-}
-
-std::int64_t
-DeviceLoop::advanceOffline(double untilMs, std::int64_t epoch)
-{
-    return state_->advanceOffline(untilMs, epoch);
 }
 
 } // namespace autoscale::serve

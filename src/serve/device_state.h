@@ -1,19 +1,17 @@
 /**
  * @file
- * Compact fleet device representation (DESIGN.md §18).
+ * One serving device (DESIGN.md §12, §15, §18).
  *
  * A million-device fleet cannot afford one heap-allocated pimpl, one
  * copy of the serving configuration, and one resolved workload table
- * per device. This header splits what used to be `DeviceLoop::Impl`
- * into:
+ * per device. The serving loop is therefore split into:
  *
  *  - `DevicePlan` — everything that is identical across a fleet's
  *    devices and immutable for the whole run: the simulator reference,
  *    the resolved ServeConfig template, the workload mix with its
  *    admission floors, and the nominal service time. A fleet builds
- *    one plan and every device points at it; a standalone device owns
- *    a private plan (`planOwner`), keeping single-device semantics
- *    unchanged.
+ *    one plan for device 0 (which carries the Q-table provenance) and
+ *    one that every peer points at; `runServe` builds one on its stack.
  *
  *  - `DeviceState` — the per-device mutable replay state, laid out as
  *    a flat movable struct so a fleet can hold `std::vector<DeviceState>`
@@ -22,12 +20,19 @@
  *    virtual clock, the RNG streams, the admission ring, breaker
  *    states, counters, and the policy.
  *
- * `DeviceLoop` (device_loop.h) remains the only mutation API — it is
- * now a thin view over one `DeviceState` — so the shards/jobs, churn,
- * checkpoint-replay, and `advance(+inf)` ≡ `runServe` bit-exactness
- * contracts of DESIGN.md §15–§17 are preserved by construction: the
- * loop body is the same code reading the same state in the same order
- * regardless of how the state is owned.
+ * The loop is *epoch-sliceable*: `advance(untilMs, shared, epoch)`
+ * runs the serving loop but pauses at the virtual-time barrier
+ * `untilMs`, optionally applying a frozen contention snapshot to remote
+ * service times. `runServe` is one `advance(+inf, nullptr, 0)`. With a
+ * neutral snapshot (edgeQueueMs == 0.0, wifiDerate == 1.0, no brownout)
+ * the applied arithmetic consists of IEEE-754 identities, so a fleet of
+ * one device is bit-identical to `runServe` as well (tests/test_fleet
+ * pins both).
+ *
+ * Every device records metrics into one dense CompactServeMetrics
+ * block and decision events into a trace buffer it may share with
+ * other devices; the owner flushes both in device-index order once the
+ * run is over, so exported bytes never depend on shards or jobs.
  */
 
 #ifndef AUTOSCALE_SERVE_DEVICE_STATE_H_
@@ -57,9 +62,6 @@ class BatchDecisionEngine;
 
 namespace autoscale::serve {
 
-class ServeMetricsRecorder;
-class FastServeMetrics;
-struct FleetContentionMetrics;
 class CompactServeMetrics;
 
 /** One zoo workload the serving mix can draw. */
@@ -71,9 +73,8 @@ struct Workload {
 };
 
 /**
- * Dense serve-outcome ids: array indices for the allocation-free
- * metrics recorders (the string names feed trace events and lazy
- * counter creation only).
+ * Dense serve-outcome ids: array indices for the metrics block (the
+ * string names feed trace events and the flushed counter names).
  */
 enum ServeOutcomeId : int {
     kServed = 0,
@@ -87,9 +88,6 @@ enum ServeOutcomeId : int {
 constexpr std::array<const char *, kNumServeOutcomes> kServeOutcomeNames =
     {"served", "shed_overflow", "shed_deadline", "shed_stale",
      "shed_churn"};
-
-/** Declare the serve.* histograms every metered serving run exports. */
-void declareServeHistograms(obs::MetricsRegistry &metrics);
 
 /**
  * The run-immutable part of a serving device, shared across a whole
@@ -115,66 +113,110 @@ DevicePlan makeDevicePlan(const sim::InferenceSimulator &sim,
                           const ServeConfig &config);
 
 /**
- * One device's complete mutable serving state — the former
- * `DeviceLoop::Impl`, flattened so fleets can store devices in one
- * contiguous array. Members are public: this is an internal
- * serve-layer type; `DeviceLoop` is the public mutation API.
+ * One device's complete mutable serving state and its serving loop.
+ * Members are public: this is an internal serve-layer type driven by
+ * `runServe` and `runFleet`.
  */
 struct DeviceState {
     /**
-     * Standalone device: builds and owns a private plan from
-     * @p config (workload mix, floors) and seeds from config.seed.
-     * Byte-identical to the pre-§18 per-device construction.
+     * @param plan Immutable plan (outlives the device); its config
+     *        decides policy, Q-table provenance and loop knobs.
+     * @param trace Decision-event sink (null: no events are built).
+     * @param metrics Metrics block (null: no metrics are recorded).
+     * @param deviceId Fleet device index; -1 means "not a fleet
+     *        member": no fleet fields on trace events.
+     * @param seed Master seed of this device's RNG fan-out.
+     * @param warmStart Non-null: skip this device's own Q-table
+     *        provenance (checkpoint/--qtable/pre-training) and seed the
+     *        learner from an already-trained scheduler instead (fleet
+     *        peers copy device 0's table). Ignored for fixed policies.
+     * @param engine Batch decision engine (outlives the device). Its
+     *        gather state is per tick and the devices of one shard run
+     *        sequentially, so a shard's devices share one.
      */
-    DeviceState(const sim::InferenceSimulator &sim,
-                const ServeConfig &config, const obs::ObsContext &obs,
-                int deviceId, const core::AutoScaleScheduler *warmStart);
-
-    /**
-     * Fleet device over a shared immutable @p plan. @p seed replaces
-     * plan.config.seed (the fleet derives one seed per device);
-     * everything else reads through the plan. @p sharedEngine, when
-     * non-null, is a shard-shared batch decision engine (its gather
-     * state is per-tick, and devices within a shard run sequentially,
-     * so sharing is output-identical); null makes the device own one.
-     */
-    DeviceState(const DevicePlan &plan, const obs::ObsContext &obs,
-                int deviceId, std::uint64_t seed,
+    DeviceState(const DevicePlan &plan, obs::TraceRecorder *trace,
+                CompactServeMetrics *metrics, int deviceId,
+                std::uint64_t seed,
                 const core::AutoScaleScheduler *warmStart,
-                sim::BatchDecisionEngine *sharedEngine = nullptr);
-
-    ~DeviceState();
-    DeviceState(DeviceState &&);
-    DeviceState &operator=(DeviceState &&);
-    DeviceState(const DeviceState &) = delete;
-    DeviceState &operator=(const DeviceState &) = delete;
+                sim::BatchDecisionEngine &engine);
 
     const ServeConfig &config() const { return plan->config; }
     const sim::InferenceSimulator &sim() const { return *plan->sim; }
-    const std::vector<Workload> &workloads() const
-    {
-        return plan->workloads;
-    }
 
-    void advance(double untilMs);
-    std::int64_t discardQueue(std::int64_t atEpoch);
+    /**
+     * Run the serving loop until the virtual clock reaches @p untilMs
+     * (or the run completes). @p shared is the frozen contention
+     * snapshot for this epoch (nullptr = uncontended single-device
+     * semantics); @p atEpoch is recorded on fleet trace events.
+     */
+    void advance(double untilMs, const SharedSnapshot *shared,
+                 std::int64_t atEpoch);
+
+    /** Whether every arrival has been admitted and drained. */
+    bool done() const { return loopDone; }
+
+    /**
+     * Non-destructive digest of the loop's replay-relevant state
+     * (virtual clock, arrival/serve counters, energy, queue depth) for
+     * the fleet checkpoint manifest's barrier verification. Stable
+     * across shard layouts; changes on any trajectory divergence.
+     */
+    std::uint64_t stateDigest() const;
+
+    /**
+     * Churn (DESIGN.md §17): the device crashed at an epoch barrier.
+     * Discards every queued request as `shed_churn` and drops the
+     * learner's pending Q-update (the in-flight transition dies with
+     * the process). Returns the number of requests discarded.
+     */
+    std::int64_t churnCrash(std::int64_t atEpoch);
+
+    /**
+     * Churn: the device left gracefully at an epoch barrier. Discards
+     * the queue as `shed_churn` (users are routed elsewhere) but
+     * flushes the pending Q-update terminally, like a clean shutdown.
+     * Returns the number of requests discarded.
+     */
+    std::int64_t churnLeave(std::int64_t atEpoch);
+
+    /**
+     * Churn: advance an offline device to the barrier @p untilMs. Every
+     * arrival in the window is drawn (keeping the workload stream in
+     * lockstep with fleet virtual time) but lost as `shed_churn`, and
+     * the virtual clock jumps to the barrier. Returns arrivals lost.
+     */
     std::int64_t advanceOffline(double untilMs, std::int64_t atEpoch);
-    void scalarLoop(double untilMs);
-    void batchedLoop(double untilMs);
+
+    /** Contention-relevant usage since the last take (resets). */
+    EpochUsage takeEpochUsage();
+
+    /**
+     * The learner's scheduler (nullptr for fixed baseline policies).
+     * The fleet uses it for warm starts and barrier Q-table merges;
+     * merges must only happen at epoch barriers, never mid-advance.
+     */
+    core::AutoScaleScheduler *scheduler() const;
+
+    /**
+     * Finalize the run (pending Q-update flush, breaker finalization,
+     * final checkpoint, closing metrics) and return the stats. Must be
+     * called exactly once, after done().
+     */
+    ServeStats finish();
+
+    std::int64_t discardQueue(std::int64_t atEpoch);
     void admitUpTo(double nowMs);
     void recordShed(const Workload &workload, ServeOutcomeId outcome,
                     int depth);
     void commitRequest(const QueuedRequest &queued, int degradeLevel,
-                       int depthAtDequeue,
-                       sim::BatchDecisionEngine *engine);
+                       int depthAtDequeue);
     void checkpointNow();
-    ServeStats finish();
 
-    /** Shared immutable plan (owned for standalone devices). */
+    /** Shared immutable plan. */
     const DevicePlan *plan = nullptr;
-    std::unique_ptr<DevicePlan> planOwner;
 
-    obs::ObsContext obs;
+    obs::TraceRecorder *trace = nullptr;
+    CompactServeMetrics *metrics = nullptr;
     int deviceId = -1;
 
     ServeStats stats;
@@ -184,11 +226,6 @@ struct DeviceState {
     Rng execRng;
     Rng workloadRng;
 
-    /**
-     * Decision policy: owned by this device on the standalone path;
-     * fleets may point peer devices at per-shard shared fixed
-     * policies instead (ownedPolicy stays null).
-     */
     baselines::SchedulingPolicy *policy = nullptr;
     std::unique_ptr<baselines::SchedulingPolicy> ownedPolicy;
     harness::AutoScalePolicy *learner = nullptr;
@@ -202,25 +239,7 @@ struct DeviceState {
     std::optional<CircuitBreaker> p2pBreaker;
     fault::RetryPolicy probeRetry;
 
-    bool batched = false;
-    std::unique_ptr<ServeMetricsRecorder> serveMetrics;
-    std::unique_ptr<FastServeMetrics> fastMetrics;
-    std::unique_ptr<FleetContentionMetrics> fleetMetrics;
-    /**
-     * Pooled per-device metrics block (compact fleets): dense counter
-     * slabs flushed into the parent registry in device-index order at
-     * the end of the run. Null outside compact fleet mode; exactly one
-     * of {serveMetrics, fastMetrics, block} records a given device.
-     */
-    CompactServeMetrics *block = nullptr;
-
-    /**
-     * Batch decision engine: owned on the standalone path; compact
-     * fleets share one per shard (its state is per-tick, so sharing
-     * is output-identical).
-     */
     sim::BatchDecisionEngine *engine = nullptr;
-    std::unique_ptr<sim::BatchDecisionEngine> ownedEngine;
 
     double clockMs = 0.0;
     double ewmaServiceMs = 0.0;
@@ -229,6 +248,7 @@ struct DeviceState {
     bool loopDone = false;
     bool finished = false;
 
+    /** Served-request decision mix, folded into stats at finish(). */
     std::array<std::int64_t, sim::kNumTargetCategories> categoryTally{};
 
     // --- Fleet hooks (inert outside fleet mode). ---
@@ -237,13 +257,6 @@ struct DeviceState {
     /** Fleet epoch index recorded on trace events. */
     std::int64_t epoch = 0;
     EpochUsage usage;
-
-  private:
-    /** Shared construction tail: RNG fan-out, policy, provenance,
-     * loop state — the original runServe statement order, verbatim. */
-    void init(std::uint64_t seed,
-              const core::AutoScaleScheduler *warmStart,
-              sim::BatchDecisionEngine *sharedEngine);
 };
 
 } // namespace autoscale::serve

@@ -14,7 +14,6 @@
 #include "harness/parallel.h"
 #include "obs/trace_recorder.h"
 #include "serve/compact_metrics.h"
-#include "serve/device_loop.h"
 #include "serve/device_state.h"
 #include "serve/fleet_checkpoint.h"
 #include "sim/batch_engine.h"
@@ -270,53 +269,26 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
     const int jobs =
         config.jobs > 0 ? config.jobs : harness::defaultJobs();
-    const bool compact = config.compactDevices && n > 1;
     const std::size_t shards =
         std::min(n, static_cast<std::size_t>(config.shards));
     const std::size_t perShard = (n + shards - 1) / shards;
     const std::uint64_t rssBaseline =
         config.reportMemory ? util::currentRssBytes() : 0;
 
-    // --- Observability sinks. Devices record concurrently; the parent
-    // sinks receive an index-ordered flush after the run, so exported
-    // bytes never depend on shards/jobs. Legacy representation: one
-    // private TraceRecorder + MetricsRegistry per device. Compact
-    // representation (DESIGN.md §18): device 0 keeps private sinks;
-    // peers share one trace recorder per shard (a stable sort by
-    // device id at flush restores per-device order) and record
-    // metrics into pooled CompactServeMetrics blocks flushed in
-    // device-index order. Nothing is allocated when observability is
-    // off. ---
-    std::vector<std::unique_ptr<obs::TraceRecorder>> traces;
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
+    // --- Observability sinks (DESIGN.md §18). Devices record
+    // concurrently into one trace buffer per shard (a stable sort by
+    // device id at flush restores per-device order) and one dense
+    // metrics block per device; the parent sinks receive an
+    // index-ordered flush after the run, so exported bytes never depend
+    // on shards/jobs. Nothing is allocated when observability is off. ---
     std::vector<obs::TraceRecorder> shardTraces;
     std::vector<CompactServeMetrics> blocks;
     if (obs.tracing()) {
-        traces.reserve(compact ? 1 : n);
-        if (compact) {
-            shardTraces.assign(shards, obs::TraceRecorder(true));
-        }
+        shardTraces.assign(shards, obs::TraceRecorder(true));
     }
     if (obs.metering()) {
-        registries.reserve(compact ? 1 : n);
-        if (compact) {
-            blocks.resize(n); // [0] unused: device 0 records privately.
-        }
+        blocks.resize(n);
     }
-    // Private sinks for one device (every device on the legacy path,
-    // device 0 on the compact path).
-    auto makePrivateObs = [&]() {
-        obs::ObsContext context;
-        if (obs.tracing()) {
-            traces.push_back(std::make_unique<obs::TraceRecorder>(true));
-            context.trace = traces.back().get();
-        }
-        if (obs.metering()) {
-            registries.push_back(std::make_unique<obs::MetricsRegistry>());
-            context.metrics = registries.back().get();
-        }
-        return context;
-    };
 
     // --- Devices. Device 0 follows the full single-device Q-table
     // provenance (checkpoint > --qtable > pre-training); its trained
@@ -359,11 +331,6 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         }
     }
 
-    std::vector<DeviceLoop> devices;
-    devices.reserve(n);
-    devices.emplace_back(sim, deviceZero, makePrivateObs(), 0);
-    const core::AutoScaleScheduler *warm = devices[0].scheduler();
-
     // Peer config template: Q-table provenance cleared (peers warm
     // start from device 0's trained table; checkpointing is device-0 /
     // fleet-manifest territory).
@@ -372,49 +339,36 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     peerTemplate.resume = false;
     peerTemplate.qtablePath.clear();
 
-    // Compact fleet storage (DESIGN.md §18): one immutable plan shared
-    // by every peer, one contiguous record array (reserved up front —
-    // the DeviceLoop views hold stable pointers into it), and one
-    // batch decision engine per shard (its gather state is per-tick
-    // and devices within a shard run sequentially, so sharing is
-    // output-identical). All empty on the legacy path.
+    // Fleet storage: device 0's plan (its config carries the Q-table
+    // provenance), one immutable plan shared by every peer, one batch
+    // decision engine per shard (its gather state is per-tick and the
+    // devices of a shard run sequentially, so sharing is
+    // output-identical), and one contiguous device array.
+    const DevicePlan zeroPlan = makeDevicePlan(sim, deviceZero);
     std::optional<DevicePlan> peerPlan;
-    std::vector<DeviceState> records;
-    std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
-    if (compact) {
+    if (n > 1) {
         peerPlan.emplace(makeDevicePlan(sim, peerTemplate));
-        records.reserve(n - 1);
-        if (peerTemplate.batchSize >= 1) {
-            shardEngines.reserve(shards);
-            for (std::size_t s = 0; s < shards; ++s) {
-                shardEngines.push_back(
-                    std::make_unique<sim::BatchDecisionEngine>(
-                        sim, static_cast<std::size_t>(
-                                 peerTemplate.batchSize)));
-            }
-        }
-        for (std::size_t i = 1; i < n; ++i) {
-            const std::size_t shard = i / perShard;
-            obs::ObsContext peerObs;
-            if (obs.tracing()) {
-                peerObs.trace = &shardTraces[shard];
-            }
-            records.emplace_back(
-                *peerPlan, peerObs, static_cast<int>(i),
-                harness::replicateSeed(config.serve.seed, i), warm,
-                shardEngines.empty() ? nullptr
-                                     : shardEngines[shard].get());
-            if (obs.metering()) {
-                records.back().block = &blocks[i];
-            }
-            devices.emplace_back(&records.back());
-        }
-    } else {
-        for (std::size_t i = 1; i < n; ++i) {
-            ServeConfig peer = peerTemplate;
-            peer.seed = harness::replicateSeed(config.serve.seed, i);
-            devices.emplace_back(sim, peer, makePrivateObs(),
-                                 static_cast<int>(i), warm);
+    }
+    std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
+    shardEngines.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+        shardEngines.push_back(std::make_unique<sim::BatchDecisionEngine>(
+            sim, static_cast<std::size_t>(config.serve.batchSize)));
+    }
+    std::vector<DeviceState> devices;
+    devices.reserve(n);
+    const core::AutoScaleScheduler *warm = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t shard = i / perShard;
+        devices.emplace_back(
+            i == 0 ? zeroPlan : *peerPlan,
+            obs.tracing() ? &shardTraces[shard] : nullptr,
+            obs.metering() ? &blocks[i] : nullptr, static_cast<int>(i),
+            i == 0 ? config.serve.seed
+                   : harness::replicateSeed(config.serve.seed, i),
+            warm, *shardEngines[shard]);
+        if (i == 0) {
+            warm = devices[0].scheduler();
         }
     }
 
@@ -621,10 +575,9 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
               + "; the manifest does not belong to this configuration");
     }
 
-    // --- Finalize and flush in device-index order. The checksum folds
-    // the same per-device values in the same order as the legacy
-    // post-loop computation; aggregate mode merely skips storing the
-    // per-device ServeStats it was computed from. ---
+    // --- Finalize and flush in device-index order. Aggregate mode
+    // folds the same per-device values in the same order; it merely
+    // skips storing the per-device ServeStats. ---
     if (!config.aggregateStats) {
         stats.devices.reserve(n);
     }
@@ -657,43 +610,23 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
     stats.checksum = checksum;
 
-    if (obs.tracing()) {
-        obs.trace->append(*traces[0]);
-        if (compact) {
-            // A shard buffer interleaves its devices' events; a stable
-            // sort by device id restores each device's private record
-            // order, and shards cover contiguous ascending device
-            // ranges, so the flushed sequence is byte-identical to
-            // per-device recorders appended in index order.
-            for (obs::TraceRecorder &shardTrace : shardTraces) {
-                std::vector<obs::DecisionEvent> events =
-                    shardTrace.snapshot();
-                std::stable_sort(events.begin(), events.end(),
-                                 [](const obs::DecisionEvent &a,
-                                    const obs::DecisionEvent &b) {
-                                     return a.deviceId < b.deviceId;
-                                 });
-                for (obs::DecisionEvent &event : events) {
-                    obs.trace->record(std::move(event));
-                }
-            }
-        } else {
-            for (std::size_t i = 1; i < n; ++i) {
-                obs.trace->append(*traces[i]);
-            }
+    // A shard buffer interleaves its devices' events; a stable sort by
+    // device id restores each device's own record order, and shards
+    // cover contiguous ascending device ranges, so the flushed sequence
+    // is every device's events in device-index order.
+    for (obs::TraceRecorder &shardTrace : shardTraces) {
+        std::vector<obs::DecisionEvent> events = shardTrace.snapshot();
+        std::stable_sort(events.begin(), events.end(),
+                         [](const obs::DecisionEvent &a,
+                            const obs::DecisionEvent &b) {
+                             return a.deviceId < b.deviceId;
+                         });
+        for (obs::DecisionEvent &event : events) {
+            obs.trace->record(std::move(event));
         }
     }
-    if (obs.metering()) {
-        obs.metrics->merge(*registries[0]);
-        if (compact) {
-            for (std::size_t i = 1; i < n; ++i) {
-                blocks[i].flush(*obs.metrics);
-            }
-        } else {
-            for (std::size_t i = 1; i < n; ++i) {
-                obs.metrics->merge(*registries[i]);
-            }
-        }
+    for (const CompactServeMetrics &block : blocks) {
+        block.flush(*obs.metrics);
     }
 
     // Fleet-level resilience metrics, declared only when the feature is

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet serving (DESIGN.md §15): N devices, each running its own
- * DeviceLoop (own Scenario stream, ArrivalProcess, AdmissionQueue, and
- * agent), driven through one virtual-time event loop in which they
+ * serving loop (DeviceState: own Scenario stream, ArrivalProcess,
+ * AdmissionQueue, and agent), driven through one virtual-time event loop in which they
  * contend for shared infrastructure (SharedInfra): a finite-slot edge
  * server, a congestible Wi-Fi uplink, and a cloud whose brownout
  * windows hit every device in the same epoch.
@@ -10,7 +10,8 @@
  * Determinism: device i's ServeConfig seed is replicateSeed(seed, i) —
  * a pure function of (master seed, device index) — and contention
  * state only changes at virtual-time barriers, where per-device usage
- * is folded and per-device observability merged in device-index order.
+ * is folded, and per-device observability is flushed in device-index
+ * order after the run.
  * Shards are therefore pure work partitions: traces, metrics, stats,
  * and Q-tables are bit-identical for every --shards/--jobs value
  * (CI cmp-enforces this).
@@ -95,19 +96,6 @@ struct FleetConfig {
     /** Capture every device's final Q-table in FleetStats::qtableDump. */
     bool collectQTables = false;
 
-    /**
-     * Compact device representation (DESIGN.md §18, default): peer
-     * devices 1..n-1 live in one contiguous DeviceState array over a
-     * single shared immutable DevicePlan, record metrics into pooled
-     * per-device CompactServeMetrics blocks and traces into per-shard
-     * recorders, and share one BatchDecisionEngine per shard. Device 0
-     * always keeps the full legacy construction (private plan, private
-     * sinks, Q-table provenance). Every exported byte — traces,
-     * metrics, Q-dumps, checkpoints, checksum — is identical to the
-     * legacy representation (tests/test_fleet pins this); the flag
-     * exists so the parity suite can run both paths.
-     */
-    bool compactDevices = true;
     /**
      * Drop the per-device ServeStats vector and keep only fleet
      * aggregates (FleetStats::aggregate). Million-device runs need
@@ -254,9 +242,9 @@ core::QTable mergedQTableSnapshot(
     const std::vector<core::AutoScaleScheduler *> &schedulers);
 
 /**
- * Run a fleet. Device traces and metrics are recorded into
- * device-private sinks and merged into @p obs in device-index order
- * after the last barrier, so @p obs sees bytes independent of
+ * Run a fleet. Device traces are recorded into per-shard buffers and
+ * metrics into per-device blocks, flushed into @p obs in device-index
+ * order after the last barrier, so @p obs sees bytes independent of
  * --shards/--jobs. A fleet of one device is bit-identical to
  * runServe with the same ServeConfig.
  */

@@ -113,7 +113,7 @@ fleetConfigDigest(const FleetConfig &config)
 {
     // Every field the replayed trajectory depends on. Pure parallelism
     // knobs (shards, jobs) and output-collection knobs (collectQTables,
-    // batchSize — the batched path is byte-identical by contract) are
+    // batchSize — every batch size is byte-identical by contract) are
     // deliberately excluded: resuming under a different shard count is
     // the same trajectory.
     std::uint64_t hash = mixString(0, "fleet-config-v1");

@@ -5,7 +5,9 @@
 #include <ostream>
 
 #include "dnn/network.h"
-#include "serve/device_loop.h"
+#include "serve/compact_metrics.h"
+#include "serve/device_state.h"
+#include "sim/batch_engine.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -67,13 +69,23 @@ ServeStats
 runServe(const sim::InferenceSimulator &sim, const ServeConfig &config,
          const obs::ObsContext &obs)
 {
-    // The whole serving loop lives in DeviceLoop (device_loop.cc) so a
-    // fleet can drive many of them; a single full-run advance with no
-    // contention snapshot is the original loop, byte for byte.
-    DeviceLoop loop(sim, config, obs);
-    loop.advance(std::numeric_limits<double>::infinity(), nullptr, 0);
-    AS_CHECK(loop.done());
-    return loop.finish();
+    // The whole serving loop lives in DeviceState (device_state.cc) so
+    // a fleet can drive many of them; one full-run advance with no
+    // contention snapshot serves the whole run.
+    const DevicePlan plan = makeDevicePlan(sim, config);
+    sim::BatchDecisionEngine engine(
+        sim, static_cast<std::size_t>(config.batchSize));
+    CompactServeMetrics metrics;
+    DeviceState device(plan, obs.tracing() ? obs.trace : nullptr,
+                       obs.metering() ? &metrics : nullptr, -1,
+                       config.seed, nullptr, engine);
+    device.advance(std::numeric_limits<double>::infinity(), nullptr, 0);
+    AS_CHECK(device.done());
+    ServeStats stats = device.finish();
+    if (obs.metering()) {
+        metrics.flush(*obs.metrics);
+    }
+    return stats;
 }
 
 void

@@ -13,14 +13,14 @@
  * heap allocations per event.
  *
  * Bit-exact parity contract: the engine never reorders, hoists, or
- * fuses any floating-point or RNG operation of the scalar serving
- * loop. Gathering only copies queue state that commits would have read
- * anyway, and the per-request best-local-target memo returns the value
- * the duplicate call would have recomputed (InferenceSimulator::
+ * fuses any floating-point or RNG operation of one-request-at-a-time
+ * serving. Gathering only copies queue state that commits would have
+ * read anyway, and the per-request best-local-target memo returns the
+ * value the duplicate call would have recomputed (InferenceSimulator::
  * bestLocalTarget is a pure function of its arguments). Consequently
- * the batch size has no observable effect: any --batch value, the
- * scalar loop, and --direct produce byte-identical traces, metrics,
- * reports, and Q-tables.
+ * the batch size has no observable effect: any --batch value and
+ * --direct produce byte-identical traces, metrics, reports, and
+ * Q-tables.
  */
 
 #ifndef AUTOSCALE_SIM_BATCH_ENGINE_H_
@@ -100,10 +100,10 @@ class BatchDecisionEngine {
 
     /**
      * Memoized InferenceSimulator::bestLocalTarget for the request
-     * being committed. The scalar loop recomputes this pure function up
-     * to three times per request (degradation override, breaker
-     * short-circuit, infeasible fallback) with identical arguments; the
-     * memo returns the identical value without the recomputation.
+     * being committed. A commit needs this pure function up to three
+     * times per request (degradation override, breaker short-circuit,
+     * infeasible fallback) with identical arguments; the memo returns
+     * the identical value without the recomputation.
      */
     const ExecutionTarget &bestLocalTarget(const dnn::Network &network,
                                            const env::EnvState &env,

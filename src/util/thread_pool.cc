@@ -22,7 +22,12 @@ ThreadPool::ThreadPool(int threads)
 
 ThreadPool::~ThreadPool()
 {
-    stop_.store(true, std::memory_order_release);
+    {
+        // Under the lock, so the store cannot land between a worker's
+        // wait-predicate check and its block (a lost wakeup).
+        const std::lock_guard<std::mutex> lock(sleepMutex_);
+        stop_.store(true, std::memory_order_release);
+    }
     sleepCv_.notify_all();
     for (std::thread &thread : threads_) {
         thread.join();
@@ -41,7 +46,11 @@ ThreadPool::submit(std::function<void()> task)
         std::lock_guard<std::mutex> lock(workers_[index]->mutex);
         workers_[index]->tasks.push_back(std::move(packaged));
     }
-    queued_.fetch_add(1, std::memory_order_release);
+    {
+        // See ~ThreadPool: a wake predicate changes under sleepMutex_.
+        const std::lock_guard<std::mutex> lock(sleepMutex_);
+        queued_.fetch_add(1, std::memory_order_release);
+    }
     sleepCv_.notify_one();
     return future;
 }

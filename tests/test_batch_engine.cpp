@@ -3,9 +3,11 @@
  * Parity suite for the batched serve hot path (DESIGN.md §14): the
  * BatchDecisionEngine SoA gather/commit loop must be observationally
  * invisible. Across devices × fault presets × load levels, every batch
- * size — and the --direct cost-table bypass underneath — must produce
- * bit-identical serving statistics, trace bytes, metrics dumps, and
- * post-run RNG fingerprints.
+ * size, with the cost tables or the --direct bypass underneath, must
+ * produce bit-identical serving statistics, trace bytes, metrics dumps,
+ * and post-run RNG fingerprints. The reference is --batch 1 --direct:
+ * one request per tick over the uncached physics, the definition the
+ * cost tables are proven against.
  */
 
 #include <gtest/gtest.h>
@@ -121,8 +123,8 @@ expectArtifactsEqual(const RunArtifacts &a, const RunArtifacts &b,
 
 /**
  * The full sweep: for each (device, fault preset, load) cell, the
- * scalar loop is the reference and --batch 1, --batch 64, the odd
- * --batch 7 (partial final batches), and --direct under --batch 64
+ * batch-1 --direct run is the reference and --batch 1, --batch 64, the
+ * odd --batch 7 (partial final batches), and --direct under --batch 64
  * must all reproduce it bit for bit.
  */
 TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
@@ -142,21 +144,21 @@ TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
     for (const DeviceCase &device : devices) {
         for (const char *preset : faultPresets) {
             const ServeConfig config = parityConfig(preset, 2.0, 150);
-            const RunArtifacts scalar =
-                runWith(device.factory, config, 0, true);
+            const RunArtifacts reference =
+                runWith(device.factory, config, 1, false);
             const std::string label =
                 std::string(device.name) + "/" + preset;
             expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 1, true),
+                reference, runWith(device.factory, config, 1, true),
                 label + "/batch1");
             expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 7, true),
+                reference, runWith(device.factory, config, 7, true),
                 label + "/batch7");
             expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 64, true),
+                reference, runWith(device.factory, config, 64, true),
                 label + "/batch64");
             expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 64, false),
+                reference, runWith(device.factory, config, 64, false),
                 label + "/direct");
         }
     }
@@ -176,17 +178,17 @@ TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
     // remote/partitioned picks).
     config.admission.degradeDepth = 1;
     config.policyName = "cloud";
-    const RunArtifacts scalar =
-        runWith(&platform::makeMi8Pro, config, 0, true);
-    EXPECT_GT(scalar.stats.shedOverflow + scalar.stats.shedDeadline
-                  + scalar.stats.shedStale,
+    const RunArtifacts reference =
+        runWith(&platform::makeMi8Pro, config, 1, false);
+    EXPECT_GT(reference.stats.shedOverflow + reference.stats.shedDeadline
+                  + reference.stats.shedStale,
               0);
-    EXPECT_GT(scalar.stats.degraded, 0);
+    EXPECT_GT(reference.stats.degraded, 0);
     expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 64, true),
+        reference, runWith(&platform::makeMi8Pro, config, 64, true),
         "overload/batch64");
     expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 3, true),
+        reference, runWith(&platform::makeMi8Pro, config, 3, true),
         "overload/batch3");
 }
 
@@ -197,45 +199,49 @@ TEST(BatchEngineParity, FixedPolicyModesMatch)
     ServeConfig config = parityConfig("cloud-brownout", 2.0, 120);
     config.policyName = "cloud";
     config.trainRunsPerCombo = 0;
-    const RunArtifacts scalar =
-        runWith(&platform::makeMi8Pro, config, 0, true);
+    const RunArtifacts reference =
+        runWith(&platform::makeMi8Pro, config, 1, false);
     expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 64, true),
+        reference, runWith(&platform::makeMi8Pro, config, 64, true),
         "cloud-policy/batch64");
 }
 
 /** Checkpoint artifacts are mode-independent too: the final checkpoint
- * written by a batched run is byte-identical to the scalar run's. */
+ * written by a batch-64 cached run is byte-identical to the batch-1
+ * --direct run's. */
 TEST(BatchEngineParity, CheckpointBytesMatchAcrossModes)
 {
-    const std::string scalarPath =
-        testing::TempDir() + "/batch_parity_scalar.ckpt";
+    const std::string referencePath =
+        testing::TempDir() + "/batch_parity_reference.ckpt";
     const std::string batchedPath =
         testing::TempDir() + "/batch_parity_batched.ckpt";
     ServeConfig config = parityConfig("none", 2.0, 120);
     config.checkpointIntervalRequests = 40;
 
-    config.checkpointPath = scalarPath;
-    config.batchSize = 0;
-    sim::InferenceSimulator sim =
+    config.checkpointPath = referencePath;
+    config.batchSize = 1;
+    sim::InferenceSimulator direct =
         sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
-    const ServeStats scalar = runServe(sim, config);
+    direct.setUseCostCache(false);
+    const ServeStats reference = runServe(direct, config);
 
     config.checkpointPath = batchedPath;
     config.batchSize = 64;
-    const ServeStats batched = runServe(sim, config);
+    const sim::InferenceSimulator cached =
+        sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
+    const ServeStats batched = runServe(cached, config);
 
-    EXPECT_EQ(scalar.checkpointsWritten, batched.checkpointsWritten);
-    std::ifstream scalarIn(scalarPath, std::ios::binary);
+    EXPECT_EQ(reference.checkpointsWritten, batched.checkpointsWritten);
+    std::ifstream referenceIn(referencePath, std::ios::binary);
     std::ifstream batchedIn(batchedPath, std::ios::binary);
-    ASSERT_TRUE(scalarIn.good());
+    ASSERT_TRUE(referenceIn.good());
     ASSERT_TRUE(batchedIn.good());
-    std::stringstream scalarBytes;
+    std::stringstream referenceBytes;
     std::stringstream batchedBytes;
-    scalarBytes << scalarIn.rdbuf();
+    referenceBytes << referenceIn.rdbuf();
     batchedBytes << batchedIn.rdbuf();
-    EXPECT_EQ(scalarBytes.str(), batchedBytes.str());
-    std::remove(scalarPath.c_str());
+    EXPECT_EQ(referenceBytes.str(), batchedBytes.str());
+    std::remove(referencePath.c_str());
     std::remove(batchedPath.c_str());
 }
 

@@ -449,10 +449,11 @@ TEST(Fleet, MergedQTableSnapshotEqualsInPlaceMerge)
 }
 
 // ---------------------------------------------------------------------
-// Compact device representation (DESIGN.md §18): the shared-plan /
-// contiguous-DeviceState / pooled-metrics / per-shard-trace layout is a
-// memory layout change only. These tests pin every exported byte equal
-// to the legacy per-device construction.
+// Compact device layout (DESIGN.md §18): shared plans, one contiguous
+// DeviceState array, per-device metrics blocks, per-shard trace
+// buffers, per-shard batch engines. These tests pin every exported
+// byte across shard layouts and across a halt/resume; the golden_fleet_*
+// ctests pin the bytes themselves.
 // ---------------------------------------------------------------------
 
 std::string
@@ -464,14 +465,13 @@ fileBytes(const char *path)
     return bytes.str();
 }
 
-TEST(FleetCompact, MatchesLegacyRepresentationByteForByte)
+TEST(FleetCompact, QModeChurnMatrixIsShardInvariant)
 {
-    // Full parity matrix: every Q-table mode, with and without churn,
-    // compact at shard counts 1 and 4 against the legacy layout. The
-    // tuple covers the checksum (RNG fingerprints + stats), Q-table
-    // dumps, the JSONL trace, and the metrics dump — if any per-device
-    // arithmetic, RNG draw, counter, or flush order moved, something
-    // here changes.
+    // Full matrix: every Q-table mode, with and without churn, at shard
+    // counts 1 and 4. The tuple covers the checksum (RNG fingerprints +
+    // stats), Q-table dumps, the JSONL trace, and the metrics dump — if
+    // any per-device arithmetic, RNG draw, counter, or flush order
+    // depended on the shard layout, something here changes.
     for (const QTableMode qMode :
          {QTableMode::PerDevice, QTableMode::Shared,
           QTableMode::Federated}) {
@@ -494,9 +494,8 @@ TEST(FleetCompact, MatchesLegacyRepresentationByteForByte)
                 fleet.churn.joinEveryEpochs = 1;
             }
 
-            auto run = [&](bool compact, int shards) {
+            auto run = [&](int shards) {
                 FleetConfig config = fleet;
-                config.compactDevices = compact;
                 config.shards = shards;
                 obs::TraceRecorder trace(true);
                 obs::MetricsRegistry metrics;
@@ -513,24 +512,18 @@ TEST(FleetCompact, MatchesLegacyRepresentationByteForByte)
                                        stats.totalShedChurn());
             };
 
-            const auto legacy = run(false, 1);
-            EXPECT_EQ(legacy, run(true, 1))
-                << qTableModeName(qMode) << " churn=" << churn
-                << " shards=1";
-            EXPECT_EQ(legacy, run(true, 4))
-                << qTableModeName(qMode) << " churn=" << churn
-                << " shards=4";
+            EXPECT_EQ(run(1), run(4))
+                << qTableModeName(qMode) << " churn=" << churn;
         }
     }
 }
 
-TEST(FleetCompact, CheckpointBytesMatchLegacy)
+TEST(FleetCompact, CheckpointBytesMatchAcrossShards)
 {
-    // The fleet manifest digest deliberately excludes the
-    // representation knob, so a halted compact run's manifest must be
-    // byte-identical to the legacy run's — and resuming a legacy
-    // manifest under the compact layout must replay to the
-    // uninterrupted run's exact outputs.
+    // The fleet manifest digest deliberately excludes the shard count,
+    // so a run halted at 1 shard and one halted at 4 must leave
+    // byte-identical manifests — and resuming the 1-shard manifest at
+    // 4 shards must replay to the uninterrupted run's exact outputs.
     const char *path = "fleet_compact_unit.ckpt";
     const char *prev = "fleet_compact_unit.ckpt.prev";
 
@@ -542,11 +535,11 @@ TEST(FleetCompact, CheckpointBytesMatchLegacy)
     fleet.churn.crashProb = 0.08;
     fleet.churn.downEpochs = 2;
 
-    auto haltedManifest = [&](bool compact) {
+    auto haltedManifest = [&](int shards) {
         std::remove(path);
         std::remove(prev);
         FleetConfig config = fleet;
-        config.compactDevices = compact;
+        config.shards = shards;
         config.serve.checkpointPath = path;
         config.haltAfterEpochs = 2;
         const FleetStats stats = runFleet(testSim(), config, {});
@@ -555,14 +548,14 @@ TEST(FleetCompact, CheckpointBytesMatchLegacy)
         return fileBytes(path);
     };
 
-    const std::string legacyBytes = haltedManifest(false);
-    ASSERT_FALSE(legacyBytes.empty());
-    const std::string compactBytes = haltedManifest(true);
-    EXPECT_EQ(compactBytes, legacyBytes);
+    const std::string fourShardBytes = haltedManifest(4);
+    ASSERT_FALSE(fourShardBytes.empty());
+    const std::string oneShardBytes = haltedManifest(1);
+    EXPECT_EQ(oneShardBytes, fourShardBytes);
 
-    auto finish = [&](bool compact, bool resume) {
+    auto finish = [&](int shards, bool resume) {
         FleetConfig config = fleet;
-        config.compactDevices = compact;
+        config.shards = shards;
         if (resume) {
             config.serve.checkpointPath = path;
             config.serve.resume = true;
@@ -580,11 +573,10 @@ TEST(FleetCompact, CheckpointBytesMatchLegacy)
                                traceText.str(), metricsText.str());
     };
 
-    // fileBytes() above proved the on-disk manifest is the legacy one;
-    // a compact resume from it must finish the legacy-uninterrupted
-    // trajectory byte for byte.
-    const auto uninterrupted = finish(false, false);
-    EXPECT_EQ(finish(true, true), uninterrupted);
+    // The manifest on disk is the 1-shard one; a 4-shard resume from it
+    // must finish the 1-shard uninterrupted trajectory byte for byte.
+    const auto uninterrupted = finish(1, false);
+    EXPECT_EQ(finish(4, true), uninterrupted);
 
     std::remove(path);
     std::remove(prev);

@@ -105,5 +105,22 @@ TEST(ThreadPool, MoreThreadsThanTasks)
     EXPECT_EQ(count.load(), 2);
 }
 
+TEST(ThreadPool, SurvivesManyPoolLifetimes)
+{
+    // One short-lived pool after another, the way a fleet epoch uses
+    // one. A submit or shutdown whose wakeup slips between a worker's
+    // wait-predicate check and its block leaves that worker asleep, and
+    // the next parallelFor or join hangs; a lost wakeup used to strike
+    // within about 31k lifetimes. A hang fails this test by its ctest
+    // timeout.
+    constexpr int kLifetimes = 100000;
+    std::atomic<int> count{0};
+    for (int lifetime = 0; lifetime < kLifetimes; ++lifetime) {
+        ThreadPool pool(2);
+        pool.parallelFor(2, [&](std::size_t) { ++count; });
+    }
+    EXPECT_EQ(count.load(), 2 * kLifetimes);
+}
+
 } // namespace
 } // namespace autoscale

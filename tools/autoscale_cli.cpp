@@ -797,8 +797,16 @@ cmdServe(const Args &args)
     config.resume = args.has("--resume");
 
     config.batchSize = strictInt(args, "--batch", config.batchSize);
+    if (config.batchSize == 0) {
+        fatal("--batch 0 is no longer accepted: the scalar reference loop"
+              " was removed; --batch 1 serves one request per tick");
+    }
     if (config.batchSize < 0) {
-        fatal("--batch must be >= 0 (0 runs the scalar reference loop)");
+        fatal("--batch must be >= 1");
+    }
+    if (args.has("--fleet-legacy-devices")) {
+        fatal("--fleet-legacy-devices was removed: every fleet uses the"
+              " compact device layout");
     }
 
     config.admission.maxDepth = merge.resolveInt(
@@ -916,7 +924,7 @@ cmdServe(const Args &args)
               "--churn-leave-prob", "--churn-down-epochs",
               "--churn-initial-devices", "--churn-join-every",
               "--outage-period-ms", "--outage-ms",
-              "--fleet-legacy-devices", "--fleet-memory"}) {
+              "--fleet-memory"}) {
             if (args.has(fleetOnly)) {
                 fatal(std::string(fleetOnly)
                       + " requires fleet serving (--fleet N > 1)");
@@ -1053,11 +1061,6 @@ cmdServe(const Args &args)
         }
         const std::string qtableOut = args.get("--fleet-qtable-out");
         fleet.collectQTables = !qtableOut.empty();
-        // --fleet-legacy-devices drops to the per-device construction
-        // (DESIGN.md §18); output is byte-identical either way — the
-        // flag exists for memory/throughput comparisons and as the
-        // escape hatch while the compact path beds in.
-        fleet.compactDevices = !args.has("--fleet-legacy-devices");
         fleet.reportMemory = args.has("--fleet-memory");
 
         if (spec != nullptr) {
@@ -1155,9 +1158,8 @@ usage()
         "        [--qtable FILE] [--train-runs N] [--network NAME]\n"
         "        [--policy autoscale|cloud|connected-edge|edge-best|\n"
         "         edge-cpu]\n"
-        "        [--batch N]           decision-path batch size\n"
-        "                              (default 64; 0 = scalar reference\n"
-        "                              loop; every value produces\n"
+        "        [--batch N]           decision-path batch size, >= 1\n"
+        "                              (default 64; every value produces\n"
         "                              byte-identical output)\n"
         "        [--seed N]            online serving loop: stochastic\n"
         "                              arrivals, admission control,\n"
@@ -1190,11 +1192,7 @@ usage()
         "        [--fleet-qtable-out FILE] dump all final Q-tables\n"
         "        [--fleet-memory]      report peak RSS and bytes/device\n"
         "                              (and append a fleet_memory record\n"
-        "                              to a JSONL --trace)\n"
-        "        [--fleet-legacy-devices] per-device construction instead\n"
-        "                              of the compact shared-plan layout\n"
-        "                              (byte-identical output; for\n"
-        "                              comparisons)\n\n"
+        "                              to a JSONL --trace)\n\n"
         "Scenario files (train, evaluate, loo, serve):\n"
         "  --scenario FILE              load a declarative .scn scenario\n"
         "                               (on serve, a Table IV name S1-D4\n"
