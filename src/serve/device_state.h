@@ -114,8 +114,8 @@ DevicePlan makeDevicePlan(const sim::InferenceSimulator &sim,
 
 /**
  * One device's complete mutable serving state and its serving loop.
- * Members are public: this is an internal serve-layer type driven by
- * `runServe` and `runFleet`.
+ * The state is public: this is an internal serve-layer type driven by
+ * `runServe` and `runFleet`; the loop's helper steps are private.
  */
 struct DeviceState {
     /**
@@ -204,14 +204,6 @@ struct DeviceState {
      */
     ServeStats finish();
 
-    std::int64_t discardQueue(std::int64_t atEpoch);
-    void admitUpTo(double nowMs);
-    void recordShed(const Workload &workload, ServeOutcomeId outcome,
-                    int depth);
-    void commitRequest(const QueuedRequest &queued, int degradeLevel,
-                       int depthAtDequeue);
-    void checkpointNow();
-
     /** Shared immutable plan. */
     const DevicePlan *plan = nullptr;
 
@@ -257,6 +249,15 @@ struct DeviceState {
     /** Fleet epoch index recorded on trace events. */
     std::int64_t epoch = 0;
     EpochUsage usage;
+
+  private:
+    std::int64_t discardQueue(std::int64_t atEpoch);
+    void admitUpTo(double nowMs);
+    void recordShed(const Workload &workload, ServeOutcomeId outcome,
+                    int depth);
+    void commitRequest(const QueuedRequest &queued, int degradeLevel,
+                       int depthAtDequeue);
+    void checkpointNow();
 };
 
 } // namespace autoscale::serve
