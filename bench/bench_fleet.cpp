@@ -15,6 +15,12 @@
  * of fixed-policy devices runs one contention epoch sweep with
  * aggregate stats, and --check fails unless it completes under
  * --memory-budget bytes/device (default 4096; measured ~2.2 KB).
+ *
+ * Learner-merge gate (DESIGN.md §15): 256 AutoScale learners each
+ * serve 150 decisions, then mergeQTablesVisitWeighted runs 5 times;
+ * --check fails when the median merge takes more than 25 ms. The merge
+ * walks only the rows some learner visited, so this bounds its cost by
+ * what the fleet has learned rather than by the 3072 x 66 table.
  */
 
 #include <algorithm>
@@ -22,15 +28,19 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.h"
+#include "core/scheduler.h"
 #include "dnn/model_zoo.h"
 #include "obs/json.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
 #include "util/logging.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 using namespace autoscale;
 
@@ -226,6 +236,103 @@ memoryGateJson(const MemoryGate &gate)
         + (gate.completed ? "true" : "false") + "}";
 }
 
+/** The federated learner-merge gate's result. */
+struct MergeGate {
+    static constexpr int kLearners = 256;
+    static constexpr int kDecisionsPerLearner = 150;
+    static constexpr int kMerges = 5;
+    static constexpr double kBudgetMs = 25.0;
+
+    int visitedStates = 0;
+    std::vector<double> mergeMs;
+
+    double
+    medianMs() const
+    {
+        return percentile(mergeMs, 50.0);
+    }
+
+    bool
+    withinBudget() const
+    {
+        return medianMs() <= kBudgetMs;
+    }
+};
+
+MergeGate
+runMergeGate(std::uint64_t seed)
+{
+    const sim::InferenceSimulator sim =
+        sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
+    std::vector<const dnn::Network *> networks;
+    for (const dnn::Network &network : dnn::modelZoo()) {
+        networks.push_back(&network);
+    }
+    // Each learner serves a short stretch of D3 requests through the
+    // real choose/feedback path, so its visited rows are the sparse set
+    // a fleet learner accumulates between merges.
+    env::Scenario scenario(env::ScenarioId::D3);
+    Rng rng(seed);
+    sim::Outcome outcome;
+    outcome.feasible = true;
+    outcome.latencyMs = 12.0;
+    outcome.accuracyPct = 70.0;
+    std::vector<std::unique_ptr<core::AutoScaleScheduler>> learners;
+    std::vector<core::AutoScaleScheduler *> schedulers;
+    for (int d = 0; d < MergeGate::kLearners; ++d) {
+        learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+            sim, core::SchedulerConfig{}, seed * 1000 + d));
+        core::AutoScaleScheduler &learner = *learners.back();
+        for (int k = 0; k < MergeGate::kDecisionsPerLearner; ++k) {
+            const dnn::Network &network =
+                *networks[rng.uniformInt(networks.size())];
+            learner.choose(sim::makeRequest(network), scenario.next(rng));
+            outcome.energyJ = rng.uniform(0.01, 0.05);
+            outcome.estimatedEnergyJ = outcome.energyJ;
+            learner.feedback(outcome);
+        }
+        learner.finishEpisode();
+        schedulers.push_back(&learner);
+    }
+
+    std::vector<char> visited(
+        static_cast<std::size_t>(
+            schedulers.front()->agent().table().numStates()),
+        0);
+    for (const core::AutoScaleScheduler *learner : schedulers) {
+        for (const int state : learner->agent().visitedStates()) {
+            visited[static_cast<std::size_t>(state)] = 1;
+        }
+    }
+    MergeGate gate;
+    gate.visitedStates =
+        static_cast<int>(std::count(visited.begin(), visited.end(), 1));
+    for (int m = 0; m < MergeGate::kMerges; ++m) {
+        const double start = now();
+        serve::mergeQTablesVisitWeighted(schedulers);
+        gate.mergeMs.push_back((now() - start) * 1e3);
+    }
+    return gate;
+}
+
+std::string
+mergeGateJson(const MergeGate &gate)
+{
+    std::string ms;
+    for (std::size_t i = 0; i < gate.mergeMs.size(); ++i) {
+        ms += (i > 0 ? "," : "") + obs::jsonNumber(gate.mergeMs[i]);
+    }
+    return std::string("{\"learners\":")
+        + std::to_string(MergeGate::kLearners)
+        + ",\"decisions_per_learner\":"
+        + std::to_string(MergeGate::kDecisionsPerLearner)
+        + ",\"visited_states\":" + std::to_string(gate.visitedStates)
+        + ",\"merge_ms\":[" + ms + "],\"median_ms\":"
+        + obs::jsonNumber(gate.medianMs()) + ",\"budget_ms\":"
+        + obs::jsonNumber(MergeGate::kBudgetMs) + ",\"within_budget\":"
+        + (gate.withinBudget() ? "true" : "false") + "}";
+}
+
 } // namespace
 
 int
@@ -321,7 +428,8 @@ main(int argc, char **argv)
         "Fleet serving: device-steps/sec vs fleet size and contention",
         "Gates: memory budget at " + std::to_string(memoryDevices)
             + " devices; 1000-device 2x-contention fleet completes; "
-              "checksum bit-equal across shard counts");
+              "checksum bit-equal across shard counts; median "
+              "256-learner merge <= 25 ms");
 
     // Memory gate first: peak RSS (VmHWM) is monotone, so the
     // million-device footprint is only attributable while nothing
@@ -367,6 +475,15 @@ main(int argc, char **argv)
     std::cout << "cross-shard checksums "
               << (checksumsAgree ? "agree" : "DISAGREE") << "\n";
 
+    const MergeGate mergeGate = runMergeGate(seed);
+    std::cout << "\nlearner merge: " << MergeGate::kLearners
+              << " learners, " << mergeGate.visitedStates
+              << " visited states, median "
+              << Table::num(mergeGate.medianMs(), 2) << " ms over "
+              << mergeGate.mergeMs.size() << " merges (budget "
+              << Table::num(MergeGate::kBudgetMs, 0) << " ms) — "
+              << (mergeGate.withinBudget() ? "ok" : "FAIL") << "\n";
+
     std::ofstream json(out);
     json << "{\"seed\":" << seed << ",\"requests_per_device\":" << requests
          << ",\"sweep\":[";
@@ -377,7 +494,8 @@ main(int argc, char **argv)
          << ",\"shards_4\":" << measurementJson(gateB)
          << ",\"completed\":" << (completed ? "true" : "false")
          << ",\"checksums_agree\":" << (checksumsAgree ? "true" : "false")
-         << "},\"memory_gate\":" << memoryGateJson(memGate) << "}\n";
+         << "},\"memory_gate\":" << memoryGateJson(memGate)
+         << ",\"merge_gate\":" << mergeGateJson(mergeGate) << "}\n";
     std::cout << "Wrote " << out << "\n";
 
     if (check) {
@@ -400,6 +518,13 @@ main(int argc, char **argv)
                       << Table::num(memGate.bytesPerDevice, 0)
                       << " bytes/device exceeds budget "
                       << Table::num(memGate.budgetBytes, 0) << "\n";
+            return 1;
+        }
+        if (!mergeGate.withinBudget()) {
+            std::cerr << "FAIL: median learner merge "
+                      << Table::num(mergeGate.medianMs(), 2)
+                      << " ms exceeds budget "
+                      << Table::num(MergeGate::kBudgetMs, 0) << " ms\n";
             return 1;
         }
         std::cout << "PASS: gates met\n";

@@ -134,13 +134,24 @@ QLearningAgent::update(int state, int action, double reward, int nextState)
         return;
     }
     const double rate = effectiveLearningRate(state, action);
-    const std::size_t index = static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(table_.numActions())
-        + static_cast<std::size_t>(action);
+    const double old_q = table_.at(state, action);
+    const std::size_t numActions =
+        static_cast<std::size_t>(table_.numActions());
+    const std::size_t rowStart = static_cast<std::size_t>(state) * numActions;
+    const std::size_t index = rowStart + static_cast<std::size_t>(action);
+    if (visits_[index] == 0) {
+        // A cell's count never returns to 0, so the row is new exactly
+        // when no cell in it has been visited before this one.
+        const auto row = visits_.begin()
+            + static_cast<std::ptrdiff_t>(rowStart);
+        if (std::all_of(row, row + static_cast<std::ptrdiff_t>(numActions),
+                        [](std::uint16_t v) { return v == 0; })) {
+            visitedStates_.push_back(state);
+        }
+    }
     if (visits_[index] < 0xffff) {
         ++visits_[index];
     }
-    const double old_q = table_.at(state, action);
     const double target = reward + config_.discount
         * table_.maxValue(nextState);
     lastTdError_ = target - old_q;

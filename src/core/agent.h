@@ -145,6 +145,13 @@ class QLearningAgent {
     /** Effective learning rate the next update of (state, action) uses. */
     double effectiveLearningRate(int state, int action) const;
 
+    /**
+     * Every state with a nonzero visitCount in some action, once each,
+     * in first-visit order. A fleet merge walks these rows instead of
+     * the whole table; the list holds at most numStates entries.
+     */
+    const std::vector<int> &visitedStates() const { return visitedStates_; }
+
   private:
     QLearningConfig config_;
     QTable table_;
@@ -156,6 +163,7 @@ class QLearningAgent {
     double lastUpdateDelta_ = 0.0;
     ConvergenceTracker convergence_;
     std::vector<std::uint16_t> visits_;
+    std::vector<int> visitedStates_;
 };
 
 } // namespace autoscale::core

@@ -41,20 +41,35 @@ QTable::randomize(Rng &rng, double lo, double hi)
     }
 }
 
+const float *
+QTable::row(int state) const
+{
+    AS_CHECK(state >= 0 && state < numStates_);
+    return values_.data()
+        + static_cast<std::size_t>(state)
+            * static_cast<std::size_t>(numActions_);
+}
+
+float *
+QTable::row(int state)
+{
+    AS_CHECK(state >= 0 && state < numStates_);
+    return values_.data()
+        + static_cast<std::size_t>(state)
+            * static_cast<std::size_t>(numActions_);
+}
+
 int
 QTable::bestAction(int state) const
 {
     // One bounds check for the whole row, then a raw scan: this runs
     // once per decision and the per-cell index() checks dominated it.
-    AS_CHECK(state >= 0 && state < numStates_);
-    const float *row = values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
+    const float *values = row(state);
     int best = 0;
-    float best_value = row[0];
+    float best_value = values[0];
     for (int a = 1; a < numActions_; ++a) {
-        if (row[a] > best_value) {
-            best_value = row[a];
+        if (values[a] > best_value) {
+            best_value = values[a];
             best = a;
         }
     }
@@ -64,14 +79,11 @@ QTable::bestAction(int state) const
 double
 QTable::maxValue(int state) const
 {
-    AS_CHECK(state >= 0 && state < numStates_);
-    const float *row = values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
-    float best_value = row[0];
+    const float *values = row(state);
+    float best_value = values[0];
     for (int a = 1; a < numActions_; ++a) {
-        if (row[a] > best_value) {
-            best_value = row[a];
+        if (values[a] > best_value) {
+            best_value = values[a];
         }
     }
     return best_value;

@@ -45,6 +45,15 @@ class QTable {
         return values_[index(state, action)];
     }
 
+    /**
+     * Row Q(S, *) as numActions() contiguous values: one bounds check
+     * for the whole row, for loops that visit every action of a state.
+     */
+    const float *row(int state) const;
+
+    /** Mutable row Q(S, *). */
+    float *row(int state);
+
     /** Action with the largest Q(S, A); ties break to the lowest id. */
     int bestAction(int state) const;
 

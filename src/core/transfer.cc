@@ -67,11 +67,15 @@ transferQTable(const QTable &src,
 
     const std::vector<int> match =
         matchActions(srcActions, srcSim, dstActions, dstSim);
+    // Row by row: one bounds check per row instead of two per cell.
+    // matchActions only returns source indices below src.numActions().
+    const std::size_t numActions = match.size();
     for (int s = 0; s < dst.numStates(); ++s) {
-        for (int a = 0; a < dst.numActions(); ++a) {
-            if (match[static_cast<std::size_t>(a)] >= 0) {
-                dst.at(s, a) =
-                    src.at(s, match[static_cast<std::size_t>(a)]);
+        const float *srcRow = src.row(s);
+        float *dstRow = dst.row(s);
+        for (std::size_t a = 0; a < numActions; ++a) {
+            if (match[a] >= 0) {
+                dstRow[a] = srcRow[match[a]];
             }
         }
     }

@@ -203,6 +203,31 @@ visitWeightedCell(const std::vector<core::AutoScaleScheduler *> &schedulers,
     return true;
 }
 
+/**
+ * Ascending union of the schedulers' visited states. A cell outside
+ * these rows has zero visits in every table, so visitWeightedCell
+ * would report it unvisited: skipping those rows changes no output.
+ */
+std::vector<int>
+unionOfVisitedStates(
+    const std::vector<core::AutoScaleScheduler *> &schedulers)
+{
+    const int numStates = schedulers.front()->agent().table().numStates();
+    std::vector<char> seen(static_cast<std::size_t>(numStates), 0);
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
+        for (const int state : scheduler->agent().visitedStates()) {
+            seen[static_cast<std::size_t>(state)] = 1;
+        }
+    }
+    std::vector<int> states;
+    for (int state = 0; state < numStates; ++state) {
+        if (seen[static_cast<std::size_t>(state)] != 0) {
+            states.push_back(state);
+        }
+    }
+    return states;
+}
+
 } // namespace
 
 void
@@ -213,9 +238,9 @@ mergeQTablesVisitWeighted(
         return;
     }
     checkMergeShapes(schedulers);
-    const core::QTable &first = schedulers.front()->agent().table();
-    for (int state = 0; state < first.numStates(); ++state) {
-        for (int action = 0; action < first.numActions(); ++action) {
+    const int numActions = schedulers.front()->agent().table().numActions();
+    for (const int state : unionOfVisitedStates(schedulers)) {
+        for (int action = 0; action < numActions; ++action) {
             float merged = 0.0f;
             if (!visitWeightedCell(schedulers, state, action, &merged)) {
                 // Nobody has experience here; leave every table's
@@ -240,7 +265,7 @@ mergedQTableSnapshot(
     if (schedulers.size() < 2) {
         return merged;
     }
-    for (int state = 0; state < merged.numStates(); ++state) {
+    for (const int state : unionOfVisitedStates(schedulers)) {
         for (int action = 0; action < merged.numActions(); ++action) {
             float value = 0.0f;
             if (visitWeightedCell(schedulers, state, action, &value)) {

@@ -227,7 +227,10 @@ struct FleetStats {
  * is exact in double and the division by the same visit count is
  * exact), so zero-visit peers never perturb a trained table.
  * Visit counts themselves are not merged: they keep encoding each
- * device's own experience for its learning-rate schedule.
+ * device's own experience for its learning-rate schedule. Only the
+ * rows in the union of the agents' visitedStates() are read, so a
+ * merge costs O(visited states x actions x schedulers), not the
+ * whole table.
  */
 void mergeQTablesVisitWeighted(
     const std::vector<core::AutoScaleScheduler *> &schedulers);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <vector>
 
 #include "core/agent.h"
 #include "util/rng.h"
@@ -68,6 +69,53 @@ TEST(Agent, LearningDisabledFreezesTable)
     EXPECT_FLOAT_EQ(agent.table().at(0, 0), before);
     // Convergence tracking still observes rewards.
     EXPECT_EQ(agent.convergence().count(), 1);
+}
+
+TEST(Agent, VisitedStatesListEachVisitedRowOnceInFirstVisitOrder)
+{
+    constexpr int kStates = 40;
+    constexpr int kActions = 5;
+    QLearningAgent agent(kStates, kActions, paperConfig(), Rng(9));
+    EXPECT_TRUE(agent.visitedStates().empty());
+
+    Rng rng(21);
+    std::vector<int> firstVisits;
+    for (int step = 0; step < 120; ++step) {
+        // States cluster low, so rows are revisited through new and
+        // already-visited actions alike.
+        const int state =
+            static_cast<int>(rng.uniformInt(1 + static_cast<std::uint64_t>(
+                                                    step / 4)))
+            % kStates;
+        const int action = static_cast<int>(rng.uniformInt(kActions));
+        if (std::find(firstVisits.begin(), firstVisits.end(), state)
+            == firstVisits.end()) {
+            firstVisits.push_back(state);
+        }
+        agent.update(state, action, rng.uniform(-5.0, 5.0), state);
+    }
+    EXPECT_EQ(agent.visitedStates(), firstVisits);
+
+    // Exactly the rows with some visitCount > 0.
+    for (int s = 0; s < kStates; ++s) {
+        bool visited = false;
+        for (int a = 0; a < kActions; ++a) {
+            visited = visited || agent.visitCount(s, a) > 0;
+        }
+        EXPECT_EQ(visited,
+                  std::find(firstVisits.begin(), firstVisits.end(), s)
+                      != firstVisits.end())
+            << "state " << s;
+    }
+
+    // Updates while learning is off touch no visit count, so the list
+    // does not grow either.
+    ASSERT_LT(static_cast<int>(firstVisits.size()), kStates);
+    agent.setLearning(false);
+    for (int s = 0; s < kStates; ++s) {
+        agent.update(s, 0, 1.0, s);
+    }
+    EXPECT_EQ(agent.visitedStates(), firstVisits);
 }
 
 TEST(Agent, GreedySelectionWithoutExploration)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/agent.h"
 #include "core/scheduler.h"
 #include "dnn/model_zoo.h"
 #include "obs/metrics_registry.h"
@@ -26,6 +29,7 @@
 #include "serve/fleet.h"
 #include "serve/server.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace autoscale::serve {
 namespace {
@@ -446,6 +450,185 @@ TEST(Fleet, MergedQTableSnapshotEqualsInPlaceMerge)
                 << act << ")";
         }
     }
+}
+
+// The dense definition of the visit-weighted merge: every cell of
+// every table, in state-major order. The library merges only the rows
+// some learner visited; the test below proves that the two agree bit
+// for bit.
+bool
+denseCell(const std::vector<core::AutoScaleScheduler *> &schedulers,
+          int state, int action, float *out)
+{
+    std::int64_t totalVisits = 0;
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
+        totalVisits += scheduler->agent().visitCount(state, action);
+    }
+    if (totalVisits == 0) {
+        return false;
+    }
+    double weighted = 0.0;
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
+        weighted +=
+            static_cast<double>(scheduler->agent().visitCount(state, action))
+            * static_cast<double>(scheduler->agent().table().at(state,
+                                                               action));
+    }
+    *out = static_cast<float>(weighted / static_cast<double>(totalVisits));
+    return true;
+}
+
+void
+denseMerge(const std::vector<core::AutoScaleScheduler *> &schedulers)
+{
+    if (schedulers.size() < 2) {
+        return;
+    }
+    const core::QTable &first = schedulers.front()->agent().table();
+    for (int state = 0; state < first.numStates(); ++state) {
+        for (int action = 0; action < first.numActions(); ++action) {
+            float merged = 0.0f;
+            if (!denseCell(schedulers, state, action, &merged)) {
+                continue;
+            }
+            for (core::AutoScaleScheduler *scheduler : schedulers) {
+                scheduler->mutableAgent().mutableTable().at(state, action) =
+                    merged;
+            }
+        }
+    }
+}
+
+core::QTable
+denseSnapshot(const std::vector<core::AutoScaleScheduler *> &schedulers)
+{
+    core::QTable merged = schedulers.front()->agent().table();
+    if (schedulers.size() < 2) {
+        return merged;
+    }
+    for (int state = 0; state < merged.numStates(); ++state) {
+        for (int action = 0; action < merged.numActions(); ++action) {
+            float value = 0.0f;
+            if (denseCell(schedulers, state, action, &value)) {
+                merged.at(state, action) = value;
+            }
+        }
+    }
+    return merged;
+}
+
+/** Cells whose float bit patterns differ between @p a and @p b. */
+int
+bitwiseMismatches(const core::QTable &a, const core::QTable &b)
+{
+    int mismatches = 0;
+    for (int s = 0; s < a.numStates(); ++s) {
+        for (int act = 0; act < a.numActions(); ++act) {
+            if (std::bit_cast<std::uint32_t>(a.at(s, act))
+                != std::bit_cast<std::uint32_t>(b.at(s, act))) {
+                ++mismatches;
+            }
+        }
+    }
+    return mismatches;
+}
+
+/**
+ * Learners 0 and 1 stay idle; the rest update overlapping windows of
+ * states with mostly negative rewards, more of them the higher the
+ * index. @p phase varies the draws between rounds of experience.
+ */
+void
+giveExperience(std::vector<core::AutoScaleScheduler> &learners, int phase)
+{
+    for (std::size_t i = 2; i < learners.size(); ++i) {
+        core::QLearningAgent &agent = learners[i].mutableAgent();
+        const int numActions = agent.table().numActions();
+        Rng rng(1000 * static_cast<std::uint64_t>(phase) + i);
+        const int steps = 20 + 15 * static_cast<int>(i);
+        for (int step = 0; step < steps; ++step) {
+            const int base = 10 * static_cast<int>(i) + 7 * phase;
+            const int state = base + static_cast<int>(rng.uniformInt(40));
+            const int next = base + static_cast<int>(rng.uniformInt(40));
+            const int action = static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(numActions)));
+            agent.update(state, action, rng.uniform(-40.0, 5.0), next);
+        }
+    }
+}
+
+TEST(Fleet, SparseMergeMatchesDenseDefinition)
+{
+    const sim::InferenceSimulator &sim = testSim();
+    constexpr int kLearners = 10;
+    std::vector<core::AutoScaleScheduler> learners;
+    for (int i = 0; i < kLearners; ++i) {
+        learners.emplace_back(sim, core::SchedulerConfig{}, 40 + i);
+    }
+    giveExperience(learners, 0);
+    // One cell past the uint16 visit ceiling, which a second learner
+    // also visited.
+    constexpr int kHotState = 60;
+    constexpr int kHotAction = 5;
+    for (int step = 0; step < 70000; ++step) {
+        learners[2].mutableAgent().update(kHotState, kHotAction,
+                                          -3.0 - 1e-4 * step, kHotState);
+    }
+    learners[7].mutableAgent().update(kHotState, kHotAction, 2.5, 61);
+    ASSERT_EQ(learners[2].agent().visitCount(kHotState, kHotAction), 0xffff);
+    ASSERT_TRUE(learners[0].agent().visitedStates().empty());
+    ASSERT_TRUE(learners[1].agent().visitedStates().empty());
+
+    std::vector<core::AutoScaleScheduler> reference = learners;
+    auto pointers = [](std::vector<core::AutoScaleScheduler> &fleet,
+                       const std::vector<int> &indices) {
+        std::vector<core::AutoScaleScheduler *> out;
+        for (const int i : indices) {
+            out.push_back(&fleet[static_cast<std::size_t>(i)]);
+        }
+        return out;
+    };
+    auto expectFleetsEqual = [&](const char *stage) {
+        for (int i = 0; i < kLearners; ++i) {
+            EXPECT_EQ(bitwiseMismatches(
+                          learners[static_cast<std::size_t>(i)]
+                              .agent().table(),
+                          reference[static_cast<std::size_t>(i)]
+                              .agent().table()),
+                      0)
+                << stage << ": learner " << i;
+        }
+    };
+    const std::vector<int> everyone = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    // A churn-style barrier: only the devices online merge, and an idle
+    // learner is among them.
+    const std::vector<int> present = {1, 2, 4, 5, 7, 9};
+
+    for (const std::vector<int> &group : {everyone, present}) {
+        EXPECT_EQ(bitwiseMismatches(
+                      mergedQTableSnapshot(pointers(learners, group)),
+                      denseSnapshot(pointers(reference, group))),
+                  0)
+            << "snapshot over " << group.size() << " learners";
+    }
+    expectFleetsEqual("after snapshots");
+
+    mergeQTablesVisitWeighted(pointers(learners, present));
+    denseMerge(pointers(reference, present));
+    expectFleetsEqual("after the present-subset merge");
+
+    // More experience after a merge, then a full barrier.
+    giveExperience(learners, 1);
+    giveExperience(reference, 1);
+    EXPECT_EQ(bitwiseMismatches(mergedQTableSnapshot(pointers(learners,
+                                                              everyone)),
+                                denseSnapshot(pointers(reference,
+                                                       everyone))),
+              0)
+        << "snapshot after more experience";
+    mergeQTablesVisitWeighted(pointers(learners, everyone));
+    denseMerge(pointers(reference, everyone));
+    expectFleetsEqual("after the full merge");
 }
 
 // ---------------------------------------------------------------------

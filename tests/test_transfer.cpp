@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/action_space.h"
 #include "core/transfer.h"
 #include "platform/device_zoo.h"
@@ -139,6 +144,81 @@ TEST(TransferQTable, CopiesMatchedValuesKeepsUnmatched)
             }
         }
     }
+}
+
+/** The per-cell definition transferQTable's row copy must reproduce. */
+void
+transferByCell(const QTable &src, QTable &dst, const std::vector<int> &match)
+{
+    for (int s = 0; s < dst.numStates(); ++s) {
+        for (int a = 0; a < dst.numActions(); ++a) {
+            if (match[static_cast<std::size_t>(a)] >= 0) {
+                dst.at(s, a) = src.at(s, match[static_cast<std::size_t>(a)]);
+            }
+        }
+    }
+}
+
+void
+expectBitwiseEqual(const QTable &a, const QTable &b)
+{
+    ASSERT_EQ(a.numStates(), b.numStates());
+    ASSERT_EQ(a.numActions(), b.numActions());
+    int mismatches = 0;
+    for (int s = 0; s < a.numStates(); ++s) {
+        for (int act = 0; act < a.numActions(); ++act) {
+            if (std::bit_cast<std::uint32_t>(a.at(s, act))
+                != std::bit_cast<std::uint32_t>(b.at(s, act))) {
+                ++mismatches;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(TransferQTable, RowCopyMatchesPerCellDefinition)
+{
+    const InferenceSimulator moto =
+        InferenceSimulator::makeDefault(platform::makeMotoXForce());
+    const InferenceSimulator mi8 =
+        InferenceSimulator::makeDefault(platform::makeMi8Pro());
+    const auto moto_actions = buildActionSpace(moto);
+    const auto mi8_actions = buildActionSpace(mi8);
+    constexpr int kStates = 97;
+
+    Rng rng(5);
+    QTable moto_table(kStates, static_cast<int>(moto_actions.size()));
+    moto_table.randomize(rng, -30.0, 2.0);
+    QTable mi8_table(kStates, static_cast<int>(mi8_actions.size()));
+    mi8_table.randomize(rng, -30.0, 2.0);
+
+    // Moto X Force -> Mi8Pro: the DSP actions have no source match.
+    const auto match = matchActions(moto_actions, moto, mi8_actions, mi8);
+    ASSERT_NE(std::count(match.begin(), match.end(), -1), 0);
+    QTable dst = mi8_table;
+    QTable want = mi8_table;
+    transferQTable(moto_table, moto_actions, moto, dst, mi8_actions, mi8);
+    transferByCell(moto_table, want, match);
+    expectBitwiseEqual(dst, want);
+    for (int s = 0; s < kStates; ++s) {
+        for (std::size_t a = 0; a < match.size(); ++a) {
+            if (match[a] < 0) {
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                              dst.at(s, static_cast<int>(a))),
+                          std::bit_cast<std::uint32_t>(
+                              mi8_table.at(s, static_cast<int>(a))));
+            }
+        }
+    }
+
+    // Identity transfer: every value of the source, bit for bit.
+    QTable copy(kStates, static_cast<int>(mi8_actions.size()));
+    QTable copy_want = copy;
+    transferQTable(mi8_table, mi8_actions, mi8, copy, mi8_actions, mi8);
+    transferByCell(mi8_table, copy_want,
+                   matchActions(mi8_actions, mi8, mi8_actions, mi8));
+    expectBitwiseEqual(copy, copy_want);
+    expectBitwiseEqual(copy, mi8_table);
 }
 
 } // namespace
