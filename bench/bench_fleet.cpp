@@ -320,7 +320,10 @@ mergeGateJson(const MergeGate &gate)
 {
     std::string ms;
     for (std::size_t i = 0; i < gate.mergeMs.size(); ++i) {
-        ms += (i > 0 ? "," : "") + obs::jsonNumber(gate.mergeMs[i]);
+        if (i > 0) {
+            ms += ',';
+        }
+        ms += obs::jsonNumber(gate.mergeMs[i]);
     }
     return std::string("{\"learners\":")
         + std::to_string(MergeGate::kLearners)

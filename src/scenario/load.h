@@ -4,6 +4,12 @@
  * bind each expanded Doc into a typed ScenarioSpec. This is the entry
  * point the CLI (`--scenario FILE`) and scenario_lint share, so a file
  * that lints clean is exactly a file the CLI will accept.
+ *
+ * bindWithFlags is the CLI's other half (DESIGN.md §16): a command
+ * line is an inline scenario. Each flag that spells a schema key
+ * becomes one entry of an overlay laid over the loaded file's Doc,
+ * and the result is bound by the same bindSpec, so flags get exactly
+ * the file's types, ranges and cross-field rules.
  */
 
 #ifndef AUTOSCALE_SCENARIO_LOAD_H_
@@ -24,8 +30,20 @@ struct LoadedScenario {
     int index = 0;
     /** Axis assignments that produced this variant (empty: no sweep). */
     std::vector<std::pair<std::string, std::string>> assignments;
+    /** The expanded Doc the spec was bound from ([variant] removed). */
+    Doc doc;
+    /** Whether the file sweeps, so the spec's name and seed are derived. */
+    bool swept = false;
     /** The bound spec; name/seed already variant-derived. */
     ScenarioSpec spec;
+};
+
+/** One schema key set on the command line. */
+struct FlagSetting {
+    std::string flag;    ///< "--queue-depth"; labels its diagnostics.
+    std::string section; ///< "qos"
+    std::string key;     ///< "queue_depth"
+    Value value;
 };
 
 /**
@@ -40,6 +58,19 @@ std::vector<LoadedScenario> loadScenarioFile(const std::string &path,
 std::vector<LoadedScenario> loadScenarioText(const std::string &text,
                                              const std::string &file,
                                              Diagnostics &diags);
+
+/**
+ * Bind @p flags laid over @p file (nullptr: the flags alone over the
+ * schema defaults, with an empty sourceFile) with one bindSpec call.
+ * A flag may restate a key the file sets with an equal value; a
+ * different value is a conflict. `--seed` compares against the file's
+ * bound, possibly sweep-derived, seed. Diagnostics on a flag's entry
+ * carry the flag as their file and no line; the result is meaningful
+ * only when @p diags stays ok().
+ */
+ScenarioSpec bindWithFlags(const LoadedScenario *file,
+                           const std::vector<FlagSetting> &flags,
+                           Diagnostics &diags);
 
 } // namespace autoscale::scenario
 

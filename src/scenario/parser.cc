@@ -195,7 +195,11 @@ std::string
 Diag::render() const
 {
     std::ostringstream os;
-    os << file << ":" << line << ": " << message;
+    os << file;
+    if (line > 0) {
+        os << ":" << line;
+    }
+    os << ": " << message;
     return os.str();
 }
 
@@ -308,6 +312,25 @@ Doc::find(const std::string &name)
         }
     }
     return nullptr;
+}
+
+void
+Doc::set(const std::string &sectionName, const std::string &key,
+         Value value, int line)
+{
+    Section *section = find(sectionName);
+    if (section == nullptr) {
+        sections.push_back(Section{sectionName, line, {}});
+        section = &sections.back();
+    }
+    value.line = line;
+    for (Entry &entry : section->entries) {
+        if (entry.key == key) {
+            entry.value = std::move(value);
+            return;
+        }
+    }
+    section->entries.push_back(Entry{key, std::move(value), line});
 }
 
 Doc

@@ -32,7 +32,7 @@ struct Diag {
     int line = 0;
     std::string message;
 
-    /** "file:line: message". */
+    /** "file:line: message", or "file: message" without a line. */
     std::string render() const;
 };
 
@@ -102,6 +102,14 @@ struct Doc {
     /** First section named @p name, or nullptr. */
     const Section *find(const std::string &name) const;
     Section *find(const std::string &name);
+
+    /**
+     * Set @p key of the first section named @p sectionName to
+     * @p value, replacing an existing entry or appending one (and the
+     * section, if missing) at @p line.
+     */
+    void set(const std::string &sectionName, const std::string &key,
+             Value value, int line);
 };
 
 /**

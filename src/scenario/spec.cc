@@ -139,14 +139,8 @@ class Binder {
     bool
     number(const char *key, double *out)
     {
-        const Entry *entry = section_.find(key);
+        const Entry *entry = typed(key, Value::Kind::Number, "a number");
         if (entry == nullptr) {
-            return false;
-        }
-        if (entry->value.kind != Value::Kind::Number) {
-            diags_.error(file_, entry->line,
-                         path(key) + " must be a number, got "
-                             + kindName(entry->value.kind));
             return false;
         }
         if (!std::isfinite(entry->value.num)) {
@@ -155,7 +149,6 @@ class Binder {
             return false;
         }
         *out = entry->value.num;
-        line_ = entry->line;
         mark(key);
         return true;
     }
@@ -184,39 +177,24 @@ class Binder {
     bool
     boolean(const char *key, bool *out)
     {
-        const Entry *entry = section_.find(key);
-        if (entry == nullptr) {
-            return false;
+        const Entry *entry = typed(key, Value::Kind::Bool, "true or false");
+        if (entry != nullptr) {
+            *out = entry->value.boolean;
+            mark(key);
         }
-        if (entry->value.kind != Value::Kind::Bool) {
-            diags_.error(file_, entry->line,
-                         path(key) + " must be true or false, got "
-                             + kindName(entry->value.kind));
-            return false;
-        }
-        *out = entry->value.boolean;
-        line_ = entry->line;
-        mark(key);
-        return true;
+        return entry != nullptr;
     }
 
     bool
     string(const char *key, std::string *out)
     {
-        const Entry *entry = section_.find(key);
-        if (entry == nullptr) {
-            return false;
+        const Entry *entry =
+            typed(key, Value::Kind::String, "a quoted string");
+        if (entry != nullptr) {
+            *out = entry->value.str;
+            mark(key);
         }
-        if (entry->value.kind != Value::Kind::String) {
-            diags_.error(file_, entry->line,
-                         path(key) + " must be a quoted string, got "
-                             + kindName(entry->value.kind));
-            return false;
-        }
-        *out = entry->value.str;
-        line_ = entry->line;
-        mark(key);
-        return true;
+        return entry != nullptr;
     }
 
     /** Line of the entry most recently read (for range messages). */
@@ -237,6 +215,20 @@ class Binder {
                          + formatDouble(got));
     }
 
+    /**
+     * A required @p key did not bind: report it if absent. Always
+     * false, so `checkedNumber(...) || binder.required(key)` is the
+     * key's validity.
+     */
+    bool
+    required(const char *key)
+    {
+        if (!has(key)) {
+            diags_.error(file_, section_.line, path(key) + " is required");
+        }
+        return false;
+    }
+
     /** Free-form "<path> <message>" diagnostic at @p key's line. */
     void
     failText(const char *key, const std::string &message)
@@ -245,6 +237,20 @@ class Binder {
     }
 
   private:
+    /** @p key's entry if present and of @p kind, else null. */
+    const Entry *
+    typed(const char *key, Value::Kind kind, const char *expected)
+    {
+        const Entry *entry = section_.find(key);
+        if (entry != nullptr && entry->value.kind != kind) {
+            diags_.error(file_, entry->line,
+                         path(key) + " must be " + expected + ", got "
+                             + kindName(entry->value.kind));
+            return nullptr;
+        }
+        return entry;
+    }
+
     void
     mark(const char *key)
     {
@@ -257,7 +263,6 @@ class Binder {
     const std::string &file_;
     Diagnostics &diags_;
     std::set<std::string> *explicit_;
-    int line_ = 0;
 };
 
 /** number + range check in one call; true iff present and valid. */
@@ -277,9 +282,10 @@ checkedNumber(Binder &binder, const char *key, double lo, double hi,
     return true;
 }
 
+template <typename Int>
 bool
 checkedInteger(Binder &binder, const char *key, std::int64_t lo,
-               std::int64_t hi, const char *constraint, std::int64_t *out)
+               std::int64_t hi, const char *constraint, Int *out)
 {
     std::int64_t value = 0;
     if (!binder.integer(key, &value)) {
@@ -289,41 +295,39 @@ checkedInteger(Binder &binder, const char *key, std::int64_t lo,
         binder.fail(key, constraint, static_cast<double>(value));
         return false;
     }
-    *out = value;
+    *out = static_cast<Int>(value);
     return true;
 }
 
-/** A step window from start/duration/period keys; true iff valid. */
+/**
+ * A step window from the `<prefix>start/duration/period` keys; true
+ * iff valid. A @p required window must set its duration.
+ */
 bool
-bindWindow(Binder &binder, Diagnostics &diags, const std::string &file,
+bindWindow(Binder &binder, const std::string &prefix, bool required,
            fault::StepWindow *window)
 {
-    bool ok = true;
-    std::int64_t value = 0;
-    if (checkedInteger(binder, "start", 0, 1000000000, ">= 0", &value)) {
-        window->startStep = value;
-    } else if (binder.has("start")) {
-        ok = false;
+    const std::string start = prefix + "start";
+    const std::string duration = prefix + "duration";
+    const std::string period = prefix + "period";
+    bool ok = checkedInteger(binder, start.c_str(), 0, 1000000000, ">= 0",
+                             &window->startStep)
+        || !binder.has(start.c_str());
+    if (!checkedInteger(binder, duration.c_str(), 1, 1000000000,
+                        ">= 1 (a zero-duration window never fires)",
+                        &window->durationSteps)) {
+        // A required window without a duration is dead.
+        ok = ok
+            && (required ? binder.required(duration.c_str())
+                         : !binder.has(duration.c_str()));
     }
-    if (checkedInteger(binder, "duration", 1, 1000000000, ">= 1 (a zero-"
-                       "duration window never fires)", &value)) {
-        window->durationSteps = value;
-    } else {
-        // duration is required: a windowed process without one is dead.
-        if (!binder.has("duration")) {
-            diags.error(file, binder.line("duration"),
-                        binder.path("duration") + " is required");
-        }
-        ok = false;
-    }
-    if (checkedInteger(binder, "period", 0, 1000000000, ">= 0", &value)) {
-        window->periodSteps = value;
-    } else if (binder.has("period")) {
-        ok = false;
-    }
+    ok = (checkedInteger(binder, period.c_str(), 0, 1000000000, ">= 0",
+                         &window->periodSteps)
+          || !binder.has(period.c_str()))
+        && ok;
     if (ok && window->periodSteps > 0
         && window->durationSteps > window->periodSteps) {
-        binder.fail("duration", "<= period when period > 0",
+        binder.fail(duration.c_str(), "<= " + binder.path(period.c_str()),
                     static_cast<double>(window->durationSteps));
         ok = false;
     }
@@ -358,11 +362,7 @@ bindMeta(Binder &binder, ScenarioSpec &spec)
         }
     }
     binder.string("description", &spec.description);
-    std::int64_t seed = 0;
-    if (checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0",
-                       &seed)) {
-        spec.seed = static_cast<std::uint64_t>(seed);
-    }
+    checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0", &spec.seed);
 }
 
 void
@@ -385,11 +385,8 @@ bindDevice(Binder &binder, ScenarioSpec &spec)
             spec.deviceModel = model;
         }
     }
-    std::int64_t population = 0;
-    if (checkedInteger(binder, "population", 1, 1000000,
-                       "within [1, 1000000]", &population)) {
-        spec.population = static_cast<int>(population);
-    }
+    checkedInteger(binder, "population", 1, 1000000, "within [1, 1000000]",
+                   &spec.population);
 }
 
 void
@@ -412,22 +409,17 @@ bindWorkload(Binder &binder, ScenarioSpec &spec)
             spec.network = network;
         }
     }
-    std::int64_t value = 0;
-    if (checkedInteger(binder, "requests", 1, 1000000000,
-                       "within [1, 1e9]", &value)) {
-        spec.requests = value;
-    }
-    if (checkedInteger(binder, "train_runs", 0, 1000000,
-                       "within [0, 1e6]", &value)) {
-        spec.trainRuns = static_cast<int>(value);
-    }
+    checkedInteger(binder, "requests", 1, 1000000000, "within [1, 1e9]",
+                   &spec.requests);
+    checkedInteger(binder, "train_runs", 0, 1000000, "within [0, 1e6]",
+                   &spec.trainRuns);
     checkedNumber(binder, "accuracy_target_pct", 0.0, 100.0,
                   "within [0, 100]", &spec.accuracyTargetPct);
 }
 
 void
-bindEnv(const Section &section, Binder &binder, const std::string &file,
-        ScenarioSpec &spec, Diagnostics &diags)
+bindEnv(const Section &section, const std::string &file, ScenarioSpec &spec,
+        Diagnostics &diags)
 {
     const Entry *entry = section.find("base");
     if (entry == nullptr) {
@@ -478,9 +470,6 @@ bindEnv(const Section &section, Binder &binder, const std::string &file,
         // Recorded by hand: the list form bypasses Binder::string.
         spec.explicitKeys.insert("env.base");
     }
-    // Silence the "unknown key" pass: base is in the schema, and the
-    // Binder never saw a typed read for the list form. (No-op.)
-    (void)binder;
 }
 
 void
@@ -492,36 +481,22 @@ bindArrival(Binder &binder, const std::string &file, ScenarioSpec &spec,
                     "arrival.rate_rps and arrival.rate_x are mutually "
                     "exclusive; set one");
     }
-    double value = 0.0;
-    if (checkedNumber(binder, "rate_x", 1e-6, 1e6, "> 0", &value)) {
-        spec.arrival.rateX = value;
-    }
-    if (checkedNumber(binder, "rate_rps", 1e-6, 1e9, "> 0", &value)) {
-        spec.arrival.rateRps = value;
-    }
-    if (binder.number("burst_period_ms", &value)) {
-        // <= 0 is the documented "bursts off" spelling.
-        spec.arrival.burstPeriodMs = value;
-    }
-    if (checkedNumber(binder, "burst_ms", 0.0, 1e9, ">= 0", &value)) {
-        spec.arrival.burstMs = value;
-    }
-    if (checkedNumber(binder, "burst_mult", 1.0, 1e6, ">= 1", &value)) {
-        spec.arrival.burstMult = value;
-    }
+    checkedNumber(binder, "rate_x", 1e-6, 1e6, "> 0", &spec.arrival.rateX);
+    checkedNumber(binder, "rate_rps", 1e-6, 1e9, "> 0", &spec.arrival.rateRps);
+    // <= 0 is the documented "bursts off" spelling.
+    binder.number("burst_period_ms", &spec.arrival.burstPeriodMs);
+    checkedNumber(binder, "burst_ms", 0.0, 1e9, ">= 0", &spec.arrival.burstMs);
+    checkedNumber(binder, "burst_mult", 1.0, 1e6, ">= 1",
+                  &spec.arrival.burstMult);
     if (spec.arrival.burstPeriodMs > 0.0
         && spec.arrival.burstMs > spec.arrival.burstPeriodMs) {
         binder.fail("burst_ms", "<= arrival.burst_period_ms",
                     spec.arrival.burstMs);
     }
-    if (checkedNumber(binder, "diurnal_period_ms", 1e-3, 1e12, "> 0",
-                      &value)) {
-        spec.arrival.diurnalPeriodMs = value;
-    }
-    if (checkedNumber(binder, "diurnal_amplitude", 0.0,
-                      0.999999, "within [0, 1)", &value)) {
-        spec.arrival.diurnalAmplitude = value;
-    }
+    checkedNumber(binder, "diurnal_period_ms", 1e-3, 1e12, "> 0",
+                  &spec.arrival.diurnalPeriodMs);
+    checkedNumber(binder, "diurnal_amplitude", 0.0, 0.999999,
+                  "within [0, 1)", &spec.arrival.diurnalAmplitude);
     if (spec.arrival.diurnalAmplitude > 0.0
         && spec.arrival.diurnalPeriodMs <= 0.0) {
         diags.error(file, binder.line("diurnal_amplitude"),
@@ -533,76 +508,36 @@ bindArrival(Binder &binder, const std::string &file, ScenarioSpec &spec,
 void
 bindQos(Binder &binder, ScenarioSpec &spec)
 {
-    std::int64_t value = 0;
-    if (checkedInteger(binder, "queue_depth", 1, 1000000,
-                       "within [1, 1e6]", &value)) {
-        spec.queueDepth = static_cast<int>(value);
-    }
-    if (checkedInteger(binder, "degrade_depth", 0, 1000000,
-                       "within [0, 1e6]", &value)) {
-        spec.degradeDepth = static_cast<int>(value);
-    }
+    checkedInteger(binder, "queue_depth", 1, 1000000, "within [1, 1e6]",
+                   &spec.queueDepth);
+    checkedInteger(binder, "degrade_depth", 0, 1000000, "within [0, 1e6]",
+                   &spec.degradeDepth);
 }
 
 void
 bindRetry(Binder &binder, ScenarioSpec &spec)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "timeout_ms", 1e-3, 1e9, "> 0", &value)) {
-        spec.retry.timeoutMs = value;
-    }
-    std::int64_t retries = 0;
-    if (checkedInteger(binder, "max_retries", 0, 100, "within [0, 100]",
-                       &retries)) {
-        spec.retry.maxRetries = static_cast<int>(retries);
-    }
-    if (checkedNumber(binder, "backoff_ms", 0.0, 1e9, ">= 0", &value)) {
-        spec.retry.backoffBaseMs = value;
-    }
-    if (checkedNumber(binder, "backoff_mult", 1e-6, 1e6, "> 0", &value)) {
-        spec.retry.backoffMultiplier = value;
-    }
+    checkedNumber(binder, "timeout_ms", 1e-3, 1e9, "> 0",
+                  &spec.retry.timeoutMs);
+    checkedInteger(binder, "max_retries", 0, 100, "within [0, 100]",
+                   &spec.retry.maxRetries);
+    checkedNumber(binder, "backoff_ms", 0.0, 1e9, ">= 0",
+                  &spec.retry.backoffBaseMs);
+    checkedNumber(binder, "backoff_mult", 1e-6, 1e6, "> 0",
+                  &spec.retry.backoffMultiplier);
 }
 
 void
 bindFault(Binder &binder, const std::string &file, ScenarioSpec &spec,
           Diagnostics &diags)
 {
-    std::int64_t seed = 0;
-    if (checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0",
-                       &seed)) {
-        spec.faults.seed = static_cast<std::uint64_t>(seed);
-    }
-    std::int64_t steps = 0;
-    if (checkedInteger(binder, "brownout_start", 0, 1000000000, ">= 0",
-                       &steps)) {
-        spec.faults.brownoutWindow.startStep = steps;
-    }
-    if (checkedInteger(binder, "brownout_duration", 1, 1000000000,
-                       ">= 1 (a zero-duration window never fires)",
-                       &steps)) {
-        spec.faults.brownoutWindow.durationSteps = steps;
-    }
-    if (checkedInteger(binder, "brownout_period", 0, 1000000000, ">= 0",
-                       &steps)) {
-        spec.faults.brownoutWindow.periodSteps = steps;
-    }
-    if (spec.faults.brownoutWindow.periodSteps > 0
-        && spec.faults.brownoutWindow.durationSteps
-               > spec.faults.brownoutWindow.periodSteps) {
-        binder.fail(
-            "brownout_duration", "<= fault.brownout_period",
-            static_cast<double>(spec.faults.brownoutWindow.durationSteps));
-    }
-    double value = 0.0;
-    if (checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
-                      &value)) {
-        spec.faults.brownoutSlowdown = value;
-    }
-    if (checkedNumber(binder, "brownout_down_prob", 0.0, 1.0,
-                      "within [0, 1]", &value)) {
-        spec.faults.brownoutDownProb = value;
-    }
+    checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0",
+                   &spec.faults.seed);
+    bindWindow(binder, "brownout_", false, &spec.faults.brownoutWindow);
+    checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
+                  &spec.faults.brownoutSlowdown);
+    checkedNumber(binder, "brownout_down_prob", 0.0, 1.0, "within [0, 1]",
+                  &spec.faults.brownoutDownProb);
     if ((spec.faults.brownoutSlowdown > 1.0
          || spec.faults.brownoutDownProb > 0.0)
         && spec.faults.brownoutWindow.durationSteps <= 0) {
@@ -610,24 +545,18 @@ bindFault(Binder &binder, const std::string &file, ScenarioSpec &spec,
                     "a cloud brownout needs a fault.brownout_duration "
                     "window to fire in");
     }
-    if (checkedNumber(binder, "throttle_factor", 1e-6, 1.0,
-                      "within (0, 1]", &value)) {
-        spec.faults.throttleFactor = value;
-    }
-    if (checkedNumber(binder, "throttle_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.faults.throttleProb = value;
-    }
+    checkedNumber(binder, "throttle_factor", 1e-6, 1.0, "within (0, 1]",
+                  &spec.faults.throttleFactor);
+    checkedNumber(binder, "throttle_prob", 0.0, 1.0, "within [0, 1]",
+                  &spec.faults.throttleProb);
     if (spec.faults.throttleFactor < 1.0
         && spec.faults.throttleProb <= 0.0) {
         diags.error(file, binder.line("throttle_factor"),
                     "fault.throttle_factor < 1 needs fault.throttle_prob "
                     "> 0 to ever fire");
     }
-    if (checkedNumber(binder, "transfer_drop_prob", 0.0, 1.0,
-                      "within [0, 1]", &value)) {
-        spec.faults.transferDropProb = value;
-    }
+    checkedNumber(binder, "transfer_drop_prob", 0.0, 1.0, "within [0, 1]",
+                  &spec.faults.transferDropProb);
 }
 
 void
@@ -637,7 +566,7 @@ bindBlackout(Binder &binder, const std::string &file, ScenarioSpec &spec,
     fault::FaultPlan::Blackout blackout;
     blackout.wlan = false;
     blackout.p2p = false;
-    const bool windowOk = bindWindow(binder, diags, file, &blackout.window);
+    const bool windowOk = bindWindow(binder, "", true, &blackout.window);
     binder.boolean("wlan", &blackout.wlan);
     binder.boolean("p2p", &blackout.p2p);
     if (!blackout.wlan && !blackout.p2p) {
@@ -653,28 +582,17 @@ bindBlackout(Binder &binder, const std::string &file, ScenarioSpec &spec,
 }
 
 void
-bindFade(Binder &binder, const std::string &file, ScenarioSpec &spec,
-         Diagnostics &diags, int sectionLine)
+bindFade(Binder &binder, ScenarioSpec &spec)
 {
     fault::FaultPlan::Fade fade;
     binder.boolean("wlan", &fade.wlan);
-    bool ok = true;
-    if (!checkedNumber(binder, "drop_db", 1e-6, 95.0, "within (0, 95]",
-                       &fade.dropDb)) {
-        if (!binder.has("drop_db")) {
-            diags.error(file, sectionLine,
-                        "fault.fade.drop_db is required");
-        }
-        ok = false;
-    }
-    if (!checkedNumber(binder, "probability", 1e-9, 1.0, "within (0, 1]",
-                       &fade.probability)) {
-        if (!binder.has("probability")) {
-            diags.error(file, sectionLine,
-                        "fault.fade.probability is required");
-        }
-        ok = false;
-    }
+    bool ok = checkedNumber(binder, "drop_db", 1e-6, 95.0,
+                            "within (0, 95]", &fade.dropDb)
+        || binder.required("drop_db");
+    ok = (checkedNumber(binder, "probability", 1e-9, 1.0, "within (0, 1]",
+                        &fade.probability)
+          || binder.required("probability"))
+        && ok;
     if (ok) {
         spec.faults.fades.push_back(fade);
         spec.explicitKeys.insert("fault.fade");
@@ -682,22 +600,15 @@ bindFade(Binder &binder, const std::string &file, ScenarioSpec &spec,
 }
 
 void
-bindMobilitySegment(Binder &binder, const std::string &file,
-                    ScenarioSpec &spec, Diagnostics &diags,
-                    int sectionLine)
+bindMobilitySegment(Binder &binder, ScenarioSpec &spec)
 {
     fault::FaultPlan::Segment segment;
-    const bool windowOk = bindWindow(binder, diags, file, &segment.window);
+    const bool windowOk = bindWindow(binder, "", true, &segment.window);
     binder.boolean("wlan", &segment.wlan);
-    bool ok = windowOk;
-    if (!checkedNumber(binder, "attenuation_db", 1e-6, 95.0,
-                       "within (0, 95]", &segment.attenuationDb)) {
-        if (!binder.has("attenuation_db")) {
-            diags.error(file, sectionLine,
-                        "mobility.segment.attenuation_db is required");
-        }
-        ok = false;
-    }
+    const bool ok = (checkedNumber(binder, "attenuation_db", 1e-6, 95.0,
+                                   "within (0, 95]", &segment.attenuationDb)
+                     || binder.required("attenuation_db"))
+        && windowOk;
     if (ok) {
         spec.faults.segments.push_back(segment);
         spec.explicitKeys.insert("mobility.segment");
@@ -710,18 +621,14 @@ bindInterferenceSegment(Binder &binder, const std::string &file,
                         int sectionLine)
 {
     fault::FaultPlan::Surge surge;
-    const bool windowOk = bindWindow(binder, diags, file, &surge.window);
-    bool ok = windowOk;
-    if (binder.has("co_cpu")
-        && !checkedNumber(binder, "co_cpu", 0.0, 1.0, "within [0, 1]",
-                          &surge.cpuUtil)) {
-        ok = false;
-    }
-    if (binder.has("co_mem")
-        && !checkedNumber(binder, "co_mem", 0.0, 1.0, "within [0, 1]",
-                          &surge.memUtil)) {
-        ok = false;
-    }
+    const bool windowOk = bindWindow(binder, "", true, &surge.window);
+    bool ok = checkedNumber(binder, "co_cpu", 0.0, 1.0, "within [0, 1]",
+                            &surge.cpuUtil)
+        || !binder.has("co_cpu");
+    ok = (checkedNumber(binder, "co_mem", 0.0, 1.0, "within [0, 1]",
+                        &surge.memUtil)
+          || !binder.has("co_mem"))
+        && ok && windowOk;
     if (surge.cpuUtil <= 0.0 && surge.memUtil <= 0.0) {
         diags.error(file, sectionLine,
                     "[interference.segment] must raise co_cpu, co_mem, "
@@ -737,10 +644,7 @@ bindInterferenceSegment(Binder &binder, const std::string &file,
 void
 bindFleet(Binder &binder, ScenarioSpec &spec)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "epoch_ms", 1e-3, 1e9, "> 0", &value)) {
-        spec.fleet.epochMs = value;
-    }
+    checkedNumber(binder, "epoch_ms", 1e-3, 1e9, "> 0", &spec.fleet.epochMs);
     std::string mode;
     if (binder.string("q_mode", &mode)) {
         if (mode != "per-device" && mode != "shared"
@@ -752,49 +656,34 @@ bindFleet(Binder &binder, ScenarioSpec &spec)
             spec.fleet.qMode = mode;
         }
     }
-    std::int64_t epochs = 0;
-    if (checkedInteger(binder, "merge_epochs", 1, 1000000,
-                       "within [1, 1e6]", &epochs)) {
-        spec.fleet.mergeEpochs = static_cast<int>(epochs);
-    }
+    checkedInteger(binder, "merge_epochs", 1, 1000000, "within [1, 1e6]",
+                   &spec.fleet.mergeEpochs);
 }
 
 void
 bindInfra(Binder &binder, ScenarioSpec &spec)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "edge_capacity", 1e-6, 1e9, "> 0", &value)) {
-        spec.infra.edgeCapacity = value;
-    }
-    if (checkedNumber(binder, "wifi_capacity", 1e-6, 1e9, "> 0", &value)) {
-        spec.infra.wifiCapacity = value;
-    }
-    if (checkedNumber(binder, "contention", 1e-6, 1e6, "> 0", &value)) {
-        spec.infra.contention = value;
-    }
-    if (checkedNumber(binder, "brownout_period_ms", 0.0, 1e12, ">= 0",
-                      &value)) {
-        spec.infra.brownoutPeriodMs = value;
-    }
-    if (checkedNumber(binder, "brownout_ms", 0.0, 1e12, ">= 0", &value)) {
-        spec.infra.brownoutDurationMs = value;
-    }
+    checkedNumber(binder, "edge_capacity", 1e-6, 1e9, "> 0",
+                  &spec.infra.edgeCapacity);
+    checkedNumber(binder, "wifi_capacity", 1e-6, 1e9, "> 0",
+                  &spec.infra.wifiCapacity);
+    checkedNumber(binder, "contention", 1e-6, 1e6, "> 0",
+                  &spec.infra.contention);
+    checkedNumber(binder, "brownout_period_ms", 0.0, 1e12, ">= 0",
+                  &spec.infra.brownoutPeriodMs);
+    checkedNumber(binder, "brownout_ms", 0.0, 1e12, ">= 0",
+                  &spec.infra.brownoutDurationMs);
     if (spec.infra.brownoutPeriodMs > 0.0
         && spec.infra.brownoutDurationMs > spec.infra.brownoutPeriodMs) {
         binder.fail("brownout_ms", "<= infra.brownout_period_ms",
                     spec.infra.brownoutDurationMs);
     }
-    if (checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
-                      &value)) {
-        spec.infra.brownoutSlowdown = value;
-    }
-    if (checkedNumber(binder, "outage_period_ms", 0.0, 1e12, ">= 0",
-                      &value)) {
-        spec.infra.outagePeriodMs = value;
-    }
-    if (checkedNumber(binder, "outage_ms", 0.0, 1e12, ">= 0", &value)) {
-        spec.infra.outageDurationMs = value;
-    }
+    checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
+                  &spec.infra.brownoutSlowdown);
+    checkedNumber(binder, "outage_period_ms", 0.0, 1e12, ">= 0",
+                  &spec.infra.outagePeriodMs);
+    checkedNumber(binder, "outage_ms", 0.0, 1e12, ">= 0",
+                  &spec.infra.outageDurationMs);
     if (spec.infra.outagePeriodMs > 0.0
         && spec.infra.outageDurationMs > spec.infra.outagePeriodMs) {
         binder.fail("outage_ms", "<= infra.outage_period_ms",
@@ -805,33 +694,21 @@ bindInfra(Binder &binder, ScenarioSpec &spec)
 void
 bindChurn(Binder &binder, ScenarioSpec &spec)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "crash_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.churn.crashProb = value;
-    }
-    if (checkedNumber(binder, "leave_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.churn.leaveProb = value;
-    }
+    checkedNumber(binder, "crash_prob", 0.0, 1.0, "within [0, 1]",
+                  &spec.churn.crashProb);
+    checkedNumber(binder, "leave_prob", 0.0, 1.0, "within [0, 1]",
+                  &spec.churn.leaveProb);
     if (spec.churn.crashProb + spec.churn.leaveProb > 1.0) {
         binder.failText("leave_prob",
                         "churn.crash_prob + churn.leave_prob must not"
                         " exceed 1");
     }
-    std::int64_t count = 0;
-    if (checkedInteger(binder, "down_epochs", 1, 1000000,
-                       "within [1, 1e6]", &count)) {
-        spec.churn.downEpochs = static_cast<int>(count);
-    }
-    if (checkedInteger(binder, "initial_devices", 0, 1000000,
-                       "within [0, 1e6]", &count)) {
-        spec.churn.initialDevices = static_cast<int>(count);
-    }
-    if (checkedInteger(binder, "join_every_epochs", 1, 1000000,
-                       "within [1, 1e6]", &count)) {
-        spec.churn.joinEveryEpochs = static_cast<int>(count);
-    }
+    checkedInteger(binder, "down_epochs", 1, 1000000, "within [1, 1e6]",
+                   &spec.churn.downEpochs);
+    checkedInteger(binder, "initial_devices", 0, 1000000, "within [0, 1e6]",
+                   &spec.churn.initialDevices);
+    checkedInteger(binder, "join_every_epochs", 1, 1000000, "within [1, 1e6]",
+                   &spec.churn.joinEveryEpochs);
 }
 
 } // namespace
@@ -898,7 +775,7 @@ bindSpec(const Doc &doc, Diagnostics &diags)
         } else if (section.name == "workload") {
             bindWorkload(binder, spec);
         } else if (section.name == "env") {
-            bindEnv(section, binder, doc.file, spec, diags);
+            bindEnv(section, doc.file, spec, diags);
         } else if (section.name == "arrival") {
             bindArrival(binder, doc.file, spec, diags);
         } else if (section.name == "qos") {
@@ -910,10 +787,9 @@ bindSpec(const Doc &doc, Diagnostics &diags)
         } else if (section.name == "fault.blackout") {
             bindBlackout(binder, doc.file, spec, diags, section.line);
         } else if (section.name == "fault.fade") {
-            bindFade(binder, doc.file, spec, diags, section.line);
+            bindFade(binder, spec);
         } else if (section.name == "mobility.segment") {
-            bindMobilitySegment(binder, doc.file, spec, diags,
-                                section.line);
+            bindMobilitySegment(binder, spec);
         } else if (section.name == "interference.segment") {
             bindInterferenceSegment(binder, doc.file, spec, diags,
                                     section.line);
@@ -942,6 +818,12 @@ bindSpec(const Doc &doc, Diagnostics &diags)
                 break;
             }
         }
+    } else if (spec.churn.initialDevices > spec.population) {
+        const Section *churn = doc.find("churn");
+        const Entry *entry = churn->find("initial_devices");
+        diags.error(doc.file, entry != nullptr ? entry->line : churn->line,
+                    "churn.initial_devices must be <= device.population, "
+                    "got " + std::to_string(spec.churn.initialDevices));
     }
 
     // The fault plan reports under the scenario's name, exactly like a

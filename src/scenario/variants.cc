@@ -60,39 +60,6 @@ readBaseMeta(const Doc &doc, std::string *name, std::uint64_t *seed)
     }
 }
 
-/** Set @p key in @p section of @p doc (replace or append). */
-void
-substitute(Doc &doc, const Axis &axis, const Value &item)
-{
-    Section *target = nullptr;
-    for (Section &section : doc.sections) {
-        if (section.name == axis.section) {
-            target = &section;
-            break;
-        }
-    }
-    if (target == nullptr) {
-        Section section;
-        section.name = axis.section;
-        section.line = axis.line;
-        doc.sections.push_back(std::move(section));
-        target = &doc.sections.back();
-    }
-    Value value = item;
-    value.line = axis.line;
-    for (Entry &entry : target->entries) {
-        if (entry.key == axis.key) {
-            entry.value = std::move(value);
-            return;
-        }
-    }
-    Entry entry;
-    entry.key = axis.key;
-    entry.value = std::move(value);
-    entry.line = axis.line;
-    target->entries.push_back(std::move(entry));
-}
-
 } // namespace
 
 std::vector<Variant>
@@ -240,7 +207,8 @@ expandVariants(const Doc &doc, Diagnostics &diags)
             const std::size_t pick = static_cast<std::size_t>(
                 rest % static_cast<std::int64_t>(axis.values.size()));
             rest /= static_cast<std::int64_t>(axis.values.size());
-            substitute(out.doc, axis, axis.values[pick]);
+            out.doc.set(axis.section, axis.key, axis.values[pick],
+                        axis.line);
             out.assignments.emplace_back(axis.path,
                                          axis.values[pick].render());
         }

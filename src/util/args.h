@@ -206,6 +206,9 @@ class Args {
     /** Number of raw tokens (after `=`-form splitting). */
     std::size_t size() const { return tokens_.size(); }
 
+    /** The canonical token stream (after `=`-form splitting). */
+    const std::vector<std::string> &tokens() const { return tokens_; }
+
   private:
     void
     init(std::vector<std::string> tokens)

@@ -6,13 +6,19 @@
  * replicateSeed-derived seeds, field-by-field equivalence between the
  * library's preset scenarios and FaultPlan::fromName, the
  * malformed-input corpus (tests/scenario_corpus *.bad files, each pinning an
- * expected-error substring), and a seeded mutation fuzzer asserting
- * the loader never crashes and every diagnostic carries file:line.
+ * expected-error substring), a seeded mutation fuzzer asserting
+ * the loader never crashes and every diagnostic carries file:line, and
+ * the command-line overlay: flags that spell scenario keys bind
+ * through the same validator as the file, checked against the real
+ * autoscale_cli.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +38,9 @@
 #endif
 #ifndef AUTOSCALE_SCENARIO_CORPUS_DIR
 #error "build must define AUTOSCALE_SCENARIO_CORPUS_DIR"
+#endif
+#ifndef AUTOSCALE_CLI
+#error "build must define AUTOSCALE_CLI"
 #endif
 
 namespace autoscale {
@@ -695,6 +704,225 @@ TEST(ScenarioFuzz, MutatedLibraryFilesNeverCrashTheLoader)
     // The mutator is noisy but not universally destructive; if nothing
     // survives the corpus stopped exercising the accept path.
     EXPECT_GT(stillValid, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The command-line overlay (DESIGN.md §16): flags are entries laid over
+// the file's Doc and bound by the same bindSpec.
+
+scenario::FlagSetting
+flagSetting(const std::string &flag, const std::string &dotted,
+            const std::string &text)
+{
+    Diagnostics diags;
+    const Doc doc = scenario::parseScenarioText(
+        "[s]\nv = " + text + "\n", "flag", diags);
+    EXPECT_TRUE(diags.ok()) << diags.render();
+    const std::size_t dot = dotted.find('.');
+    return {flag, dotted.substr(0, dot), dotted.substr(dot + 1),
+            doc.sections.at(0).entries.at(0).value};
+}
+
+TEST(ScenarioFlags, OverlayRestatesConflictsAndNamesTheFlag)
+{
+    Diagnostics loadDiags;
+    const std::vector<LoadedScenario> loaded = scenario::loadScenarioText(
+        "[meta]\nseed = 7\n[env]\nbase = [\"S1\"]\n[qos]\n"
+        "queue_depth = 48\n",
+        "base.scn", loadDiags);
+    ASSERT_TRUE(loadDiags.ok()) << loadDiags.render();
+
+    // Equal restatements (a one-item list restates its item) and new
+    // keys bind; the flag value lands in the spec.
+    Diagnostics diags;
+    const ScenarioSpec spec = scenario::bindWithFlags(
+        &loaded[0],
+        {flagSetting("--queue-depth", "qos.queue_depth", "48.0"),
+         flagSetting("--scenarios", "env.base", "\"S1\""),
+         flagSetting("--seed", "meta.seed", "7"),
+         flagSetting("--degrade-depth", "qos.degrade_depth", "3")},
+        diags);
+    ASSERT_TRUE(diags.ok()) << diags.render();
+    EXPECT_EQ(spec.queueDepth, 48);
+    EXPECT_EQ(spec.degradeDepth, 3);
+    EXPECT_EQ(spec.seed, 7u);
+    EXPECT_EQ(spec.sourceFile, "base.scn");
+
+    // A different value is a conflict that names the flag and the file.
+    Diagnostics conflict;
+    scenario::bindWithFlags(
+        &loaded[0], {flagSetting("--queue-depth", "qos.queue_depth", "50")},
+        conflict);
+    ASSERT_EQ(conflict.diags().size(), 1u) << conflict.render();
+    EXPECT_EQ(conflict.diags()[0].file, "--queue-depth");
+    EXPECT_NE(conflict.render().find("--queue-depth: 50 conflicts with "
+                                     "qos.queue_depth = 48 from base.scn"),
+              std::string::npos)
+        << conflict.render();
+
+    // A cross-field rule between two flags lands on a flag, never on a
+    // line: without a file every entry is a flag.
+    Diagnostics cross;
+    const ScenarioSpec flagsOnly = scenario::bindWithFlags(
+        nullptr,
+        {flagSetting("--rate-x", "arrival.rate_x", "1"),
+         flagSetting("--rate-hz", "arrival.rate_rps", "5")},
+        cross);
+    ASSERT_EQ(cross.diags().size(), 1u) << cross.render();
+    EXPECT_EQ(cross.diags()[0].file, "--rate-hz");
+    EXPECT_EQ(cross.diags()[0].line, 0);
+    EXPECT_EQ(cross.render(),
+              "--rate-hz: arrival.rate_rps and arrival.rate_x are mutually "
+              "exclusive; set one\n");
+    EXPECT_TRUE(flagsOnly.sourceFile.empty());
+}
+
+TEST(ScenarioFlags, SeedFlagComparesAgainstTheSweepDerivedSeed)
+{
+    Diagnostics loadDiags;
+    const std::vector<LoadedScenario> loaded = scenario::loadScenarioText(
+        "[meta]\nseed = 3\n[variant]\narrival.rate_rps = [1, 2]\n",
+        "sweep.scn", loadDiags);
+    ASSERT_EQ(loaded.size(), 2u) << loadDiags.render();
+    const LoadedScenario &second = loaded[1];
+    ASSERT_NE(second.spec.seed, 3u);
+
+    Diagnostics base;
+    scenario::bindWithFlags(&second,
+                            {flagSetting("--seed", "meta.seed", "3")}, base);
+    EXPECT_FALSE(base.ok()) << "the base seed is not this variant's seed";
+
+    Diagnostics derived;
+    const ScenarioSpec spec = scenario::bindWithFlags(
+        &second, {flagSetting("--rate-x", "arrival.rate_x", "9")}, derived);
+    // The overlay keeps the variant's identity, and rate_x crossing the
+    // swept rate_rps names the flag on the file's line.
+    EXPECT_EQ(spec.seed, second.spec.seed);
+    EXPECT_EQ(spec.name, "scenario#1");
+    ASSERT_EQ(derived.diags().size(), 1u) << derived.render();
+    EXPECT_EQ(derived.diags()[0].file, "sweep.scn");
+    EXPECT_NE(derived.render().find("(with --rate-x)"), std::string::npos)
+        << derived.render();
+}
+
+/** Exit code and combined output of `autoscale_cli @p args`. */
+std::pair<int, std::string>
+runCli(const std::string &args)
+{
+    const std::string out = testing::TempDir() + "autoscale_cli_out.txt";
+    const int status = std::system(
+        (std::string("'") + AUTOSCALE_CLI + "' " + args + " > '" + out
+         + "' 2>&1")
+            .c_str());
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, slurp(out)};
+}
+
+// One validator per setting: every scenario key with a flag spelling
+// rejects the same out-of-range value as a file key and as an
+// autoscale_cli flag, with the same message; the flag's diagnostic
+// names the flag. The CLI's usage lists each flag's key, and every
+// listed pair must have a row here.
+TEST(ScenarioFlags, EveryKeyedFlagRejectsWhatTheFileRejects)
+{
+    struct Case {
+        const char *flag;
+        const char *command;
+        const char *value; ///< Out of range (or of the wrong shape).
+    };
+    const std::vector<Case> cases = {
+        {"--device", "serve", "Nope"},
+        {"--fleet", "serve", "0"},
+        {"--seed", "serve", "-1"},
+        {"--network", "serve", "Nope"},
+        {"--accuracy", "serve", "101"},
+        {"--requests", "serve", "0"},
+        {"--runs", "train", "-1"},
+        {"--train-runs", "serve", "2000000"},
+        {"--scenarios", "train", "S9"},
+        {"--rate-x", "serve", "0"},
+        {"--rate-hz", "serve", "0"},
+        {"--burst-period-ms", "serve", "nan"},
+        {"--burst-ms", "serve", "-1"},
+        {"--burst-mult", "serve", "0"},
+        {"--queue-depth", "serve", "2000000"},
+        {"--degrade-depth", "serve", "-5"},
+        {"--fault-seed", "serve", "-1"},
+        {"--timeout-ms", "serve", "0"},
+        {"--max-retries", "serve", "101"},
+        {"--backoff-ms", "serve", "-1"},
+        {"--backoff-mult", "serve", "0"},
+        {"--q-mode", "serve", "nope"},
+        {"--merge-epochs", "serve", "0"},
+        {"--epoch-ms", "serve", "0"},
+        {"--edge-capacity", "serve", "0"},
+        {"--wifi-capacity", "serve", "0"},
+        {"--contention", "serve", "0"},
+        {"--brownout-period-ms", "serve", "-1"},
+        {"--brownout-ms", "serve", "-1"},
+        {"--brownout-slowdown", "serve", "0.5"},
+        {"--outage-period-ms", "serve", "-1"},
+        {"--outage-ms", "serve", "-1"},
+        {"--churn-crash-prob", "serve", "1.5"},
+        {"--churn-leave-prob", "serve", "-0.1"},
+        {"--churn-down-epochs", "serve", "0"},
+        {"--churn-initial-devices", "serve", "-1"},
+        {"--churn-join-every", "serve", "0"},
+    };
+
+    // (flag, key) pairs from the usage text: "  --flag META  help" is
+    // followed by a scope line ending in "[section.key]".
+    const auto [usageCode, usage] = runCli("");
+    ASSERT_EQ(usageCode, 2);
+    std::vector<std::pair<std::string, std::string>> keyed;
+    std::istringstream lines(usage);
+    std::string line;
+    std::string flag;
+    while (std::getline(lines, line)) {
+        const std::size_t open = line.rfind('[');
+        const std::string key = open == std::string::npos
+            ? ""
+            : line.substr(open + 1, line.size() - open - 2);
+        if (line.rfind("  --", 0) == 0) {
+            flag = line.substr(2, line.find(' ', 2) - 2);
+        } else if (!flag.empty() && !line.empty() && line.back() == ']'
+                   && key.find('.') != std::string::npos
+                   && key.find(' ') == std::string::npos) {
+            keyed.emplace_back(flag, key);
+        }
+    }
+    ASSERT_EQ(keyed.size(), cases.size()) << usage;
+
+    for (const auto &[flagName, key] : keyed) {
+        SCOPED_TRACE(flagName + " -> " + key);
+        const auto it = std::find_if(
+            cases.begin(), cases.end(),
+            [&](const Case &c) { return flagName == c.flag; });
+        ASSERT_NE(it, cases.end()) << "no out-of-range row for " << flagName;
+
+        // Fleet, infra and churn keys only bind on a fleet.
+        const std::string section = key.substr(0, key.find('.'));
+        const bool fleet = section == "fleet" || section == "infra"
+            || section == "churn";
+        const std::string value = it->value;
+        const bool number = value.find_first_not_of("-.0123456789nan")
+            == std::string::npos;
+        Diagnostics diags;
+        scenario::loadScenarioText(
+            std::string(fleet ? "[device]\npopulation = 2\n" : "") + "["
+                + section + "]\n" + key.substr(key.find('.') + 1) + " = "
+                + (number ? value : "\"" + value + "\"") + "\n",
+            "one.scn", diags);
+        ASSERT_EQ(diags.diags().size(), 1u) << diags.render();
+        const std::string message = diags.diags()[0].message;
+        EXPECT_NE(message.find(key), std::string::npos) << message;
+
+        const auto [code, output] = runCli(
+            std::string(it->command) + (fleet ? " --fleet 2 " : " ")
+            + flagName + " '" + value + "'");
+        EXPECT_EQ(code, 1) << output;
+        EXPECT_NE(output.find(flagName + ": " + message), std::string::npos)
+            << "file says: " << message << "\nflag says: " << output;
+    }
 }
 
 } // namespace

@@ -12,9 +12,17 @@
  *       --runs 400 --out qtable.txt
  *   autoscale_cli evaluate --device Mi8Pro --qtable qtable.txt \
  *       --scenarios S1,S4 --csv
+ *
+ * A command line is an inline scenario (DESIGN.md §16): every flag is
+ * a row of one table. A flag that spells a scenario key becomes an
+ * overlay entry on the `--scenario` file's Doc and is validated by the
+ * scenario binder alone; the rest are run-control flags with their
+ * own range. Unknown, misplaced, repeated-and-conflicting and
+ * valueless flags are usage errors, never silently ignored.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -34,7 +42,6 @@
 #include "obs/json.h"
 #include "obs/obs_output.h"
 #include "platform/device_zoo.h"
-#include "scenario/apply.h"
 #include "scenario/load.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
@@ -48,250 +55,591 @@ namespace {
 
 using namespace autoscale;
 
-env::EnvState
-envFromArgs(const Args &args)
+/** Subcommands, as bits of FlagRow::commands. */
+enum Command : unsigned {
+    kDevices = 1u << 0,
+    kWorkloads = 1u << 1,
+    kCharacterize = 1u << 2,
+    kDecide = 1u << 3,
+    kTrain = 1u << 4,
+    kEvaluate = 1u << 5,
+    kLoo = 1u << 6,
+    kServe = 1u << 7,
+};
+/** Commands that price one request in a fixed environment. */
+constexpr unsigned kProbe = kCharacterize | kDecide;
+/** Commands that run the simulator over scenarios. */
+constexpr unsigned kRun = kTrain | kEvaluate | kLoo | kServe;
+
+struct CommandInfo {
+    const char *name;
+    Command bit;
+    const char *help;
+};
+
+const CommandInfo kCommands[] = {
+    {"devices", kDevices, "list the device fleet"},
+    {"workloads", kWorkloads, "list the Table III workloads"},
+    {"characterize", kCharacterize, "optimal target per workload"},
+    {"decide", kDecide, "rank the execution targets of one request"},
+    {"train", kTrain, "train a Q-table and save it"},
+    {"evaluate", kEvaluate, "AutoScale against the baseline policies"},
+    {"loo", kLoo, "leave-one-out evaluation over the zoo"},
+    {"serve", kServe, "online serving loop; --fleet N > 1 serves a fleet"},
+};
+
+enum class Kind { Int, Number, String, List, Enum, Switch };
+
+/** Serving mode a run-control flag is limited to. */
+enum class Mode { Any, Fleet, Single };
+
+/** One command-line flag. */
+struct FlagRow {
+    const char *flag = "";
+    /** Scenario key ("qos.queue_depth"); "" for run control. */
+    const char *key = "";
+    Kind kind = Kind::String;
+    unsigned commands = 0;
+    /** Value placeholder; an Enum's choices as "a|b|c". */
+    const char *metavar = "";
+    const char *help = "";
+    /** Run-control range and its wording. */
+    double lo = 0.0;
+    double hi = 0.0;
+    const char *constraint = "";
+    Mode mode = Mode::Any;
+    /** Flag this one is meaningless without ("" for none). */
+    const char *needs = "";
+};
+
+/** A flag that sets scenario key @p key; the binder validates it. */
+FlagRow
+keyed(const char *flag, const char *key, Kind kind, unsigned commands,
+      const char *metavar, const char *help)
 {
-    env::EnvState env;
-    env.coCpuUtil = args.getDouble("--co-cpu", 0.0);
-    env.coMemUtil = args.getDouble("--co-mem", 0.0);
-    env.rssiWlanDbm = args.getDouble("--rssi-wlan", -55.0);
-    env.rssiP2pDbm = args.getDouble("--rssi-p2p", -55.0);
-    return env;
+    FlagRow row;
+    row.flag = flag;
+    row.key = key;
+    row.kind = kind;
+    row.commands = commands;
+    row.metavar = metavar;
+    row.help = help;
+    return row;
 }
 
-std::vector<env::ScenarioId>
-scenariosFromArgs(const Args &args)
+/** A run-control flag; numbers must lie in [@p lo, @p hi]. */
+FlagRow
+control(const char *flag, Kind kind, unsigned commands,
+        const char *metavar, const char *help, double lo = 0.0,
+        double hi = 0.0, const char *constraint = "",
+        Mode mode = Mode::Any, const char *needs = "")
 {
-    const std::string spec = args.get("--scenarios", "S1,S2,S3,S4,S5");
-    std::map<std::string, env::ScenarioId> by_name;
-    for (const env::ScenarioId id : env::allScenarios()) {
-        by_name.emplace(env::scenarioName(id), id);
-    }
-    std::vector<env::ScenarioId> ids;
-    std::stringstream stream(spec);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        const auto it = by_name.find(token);
-        if (it == by_name.end()) {
-            fatal("unknown scenario '" + token + "' (use S1-S5, D1-D4)");
+    FlagRow row = keyed(flag, "", kind, commands, metavar, help);
+    row.lo = lo;
+    row.hi = hi;
+    row.constraint = constraint;
+    row.mode = mode;
+    row.needs = needs;
+    return row;
+}
+
+const std::vector<FlagRow> &
+flagTable()
+{
+    constexpr unsigned kAll = kProbe | kRun;
+    constexpr unsigned kEvalLoo = kEvaluate | kLoo;
+    static const std::vector<FlagRow> kFlags = {
+        // The scenario: a file, and flags that spell its keys.
+        control("--scenario", Kind::String, kRun, "FILE", "scenario file "
+                "(.scn); on serve a Table IV name S1-D4 sets env.base"),
+        control("--variant", Kind::Int, kRun, "N", "expansion of a swept "
+                "file", 0, 1e6, ">= 0", Mode::Any, "--scenario"),
+        keyed("--device", "device.model", Kind::String, kAll, "NAME",
+              "phone model (default Mi8Pro)"),
+        keyed("--fleet", "device.population", Kind::Int, kServe, "N",
+              "devices; N > 1 serves a fleet"),
+        keyed("--seed", "meta.seed", Kind::Int, kRun, "N", "master seed"),
+        keyed("--network", "workload.network", Kind::String,
+              kDecide | kServe, "NAME", "one zoo workload"),
+        keyed("--accuracy", "workload.accuracy_target_pct", Kind::Number,
+              kAll, "PCT", "accuracy target"),
+        keyed("--requests", "workload.requests", Kind::Int, kServe, "N",
+              "arrivals per device"),
+        keyed("--runs", "workload.train_runs", Kind::Int, kTrain, "N",
+              "training runs per (network, scenario) (default 400)"),
+        keyed("--train-runs", "workload.train_runs", Kind::Int,
+              kEvalLoo | kServe, "N", "the same (default 400; serve 40)"),
+        keyed("--scenarios", "env.base", Kind::List, kTrain | kEvalLoo,
+              "S1,D2,...", "Table IV environments (default S1-S5)"),
+        keyed("--rate-x", "arrival.rate_x", Kind::Number, kServe, "F",
+              "arrival rate / nominal capacity"),
+        keyed("--rate-hz", "arrival.rate_rps", Kind::Number, kServe, "F",
+              "arrival rate, req/s"),
+        keyed("--burst-period-ms", "arrival.burst_period_ms", Kind::Number,
+              kServe, "F", "flash-crowd period (<= 0: no bursts)"),
+        keyed("--burst-ms", "arrival.burst_ms", Kind::Number, kServe, "F",
+              "burst length"),
+        keyed("--burst-mult", "arrival.burst_mult", Kind::Number, kServe,
+              "F", "rate multiplier in a burst"),
+        keyed("--queue-depth", "qos.queue_depth", Kind::Int, kServe, "N",
+              "admission queue bound"),
+        keyed("--degrade-depth", "qos.degrade_depth", Kind::Int, kServe,
+              "N", "queue depth that starts degrading"),
+        keyed("--fault-seed", "fault.seed", Kind::Int, kRun, "N",
+              "fault-process seed"),
+        keyed("--timeout-ms", "retry.timeout_ms", Kind::Number, kRun, "F",
+              "per-attempt remote deadline"),
+        keyed("--max-retries", "retry.max_retries", Kind::Int, kRun, "N",
+              "remote retries before the local fallback"),
+        keyed("--backoff-ms", "retry.backoff_ms", Kind::Number, kRun, "F",
+              "idle gap before the first retry"),
+        keyed("--backoff-mult", "retry.backoff_mult", Kind::Number, kRun,
+              "F", "backoff growth per retry"),
+        keyed("--q-mode", "fleet.q_mode", Kind::String, kServe, "MODE",
+              "per-device, shared or federated Q-tables"),
+        keyed("--merge-epochs", "fleet.merge_epochs", Kind::Int, kServe,
+              "N", "federated merge period"),
+        keyed("--epoch-ms", "fleet.epoch_ms", Kind::Number, kServe, "F",
+              "contention barrier interval"),
+        keyed("--edge-capacity", "infra.edge_capacity", Kind::Number,
+              kServe, "F", "shared edge slots"),
+        keyed("--wifi-capacity", "infra.wifi_capacity", Kind::Number,
+              kServe, "F", "transfers before Wi-Fi congestion"),
+        keyed("--contention", "infra.contention", Kind::Number, kServe,
+              "F", "demand multiplier"),
+        keyed("--brownout-period-ms", "infra.brownout_period_ms",
+              Kind::Number, kServe, "F", "shared cloud brownout period"),
+        keyed("--brownout-ms", "infra.brownout_ms", Kind::Number, kServe,
+              "F", "brownout length"),
+        keyed("--brownout-slowdown", "infra.brownout_slowdown",
+              Kind::Number, kServe, "F", "cloud slowdown in a brownout"),
+        keyed("--outage-period-ms", "infra.outage_period_ms",
+              Kind::Number, kServe, "F", "edge-server outage period"),
+        keyed("--outage-ms", "infra.outage_ms", Kind::Number, kServe, "F",
+              "outage length"),
+        keyed("--churn-crash-prob", "churn.crash_prob", Kind::Number,
+              kServe, "P", "per-device per-epoch crash probability"),
+        keyed("--churn-leave-prob", "churn.leave_prob", Kind::Number,
+              kServe, "P", "per-device per-epoch leave probability"),
+        keyed("--churn-down-epochs", "churn.down_epochs", Kind::Int,
+              kServe, "N", "epochs a crashed device stays down"),
+        keyed("--churn-initial-devices", "churn.initial_devices",
+              Kind::Int, kServe, "N", "devices up at epoch 0 (0: all)"),
+        keyed("--churn-join-every", "churn.join_every_epochs", Kind::Int,
+              kServe, "N", "epochs between staggered joins"),
+        // Run control: no scenario key.
+        control("--co-cpu", Kind::Number, kProbe, "F", "co-runner CPU "
+                "utilization", 0.0, 1.0, "within [0, 1]"),
+        control("--co-mem", Kind::Number, kProbe, "F", "co-runner memory "
+                "utilization", 0.0, 1.0, "within [0, 1]"),
+        control("--rssi-wlan", Kind::Number, kProbe, "DBM", "Wi-Fi signal "
+                "(default -55)", -120.0, 0.0, "within [-120, 0]"),
+        control("--rssi-p2p", Kind::Number, kProbe, "DBM", "Wi-Fi Direct "
+                "signal (default -55)", -120.0, 0.0, "within [-120, 0]"),
+        control("--top", Kind::Int, kDecide, "K", "targets to list "
+                "(default 8)", 1.0, 1e6, ">= 1"),
+        control("--direct", Kind::Switch, kAll, "", "walk the layer model, "
+                "not the cost tables (bit-identical)"),
+        control("--out", Kind::String, kTrain, "FILE",
+                "Q-table output (default qtable.txt)"),
+        control("--qtable", Kind::String, kEvaluate | kServe, "FILE",
+                "pre-trained Q-table (default: train in place)"),
+        control("--runs", Kind::Int, kEvalLoo, "N", "evaluation runs per "
+                "(network, scenario) (default 30)", 1.0, 1e6, ">= 1"),
+        control("--warmup", Kind::Int, kLoo, "N", "held-out warm-up runs "
+                "(default 150)", 0.0, 1e6, ">= 0"),
+        control("--jobs", Kind::Int, kEvalLoo | kServe, "N", "worker "
+                "threads (results never depend on it)", 1.0, 1024.0,
+                "within [1, 1024]"),
+        control("--csv", Kind::Switch, kEvalLoo, "", "CSV tables"),
+        control("--faults", Kind::Enum, kRun,
+                "none|blackout|flaky-wifi|cloud-brownout", "fault preset"),
+        control("--trace", Kind::String, kRun, "FILE",
+                "one structured event per decision"),
+        control("--trace-format", Kind::Enum, kRun, "jsonl|chrome",
+                "trace format (default jsonl)"),
+        control("--metrics", Kind::String, kRun, "FILE",
+                "counters, gauges and histograms"),
+        control("--policy", Kind::Enum, kServe,
+                "autoscale|cloud|connected-edge|edge-best|edge-cpu",
+                "serving policy (default autoscale)"),
+        control("--batch", Kind::Int, kServe, "N", "decision batch size "
+                "(output-invariant; default 64)", 1.0, 1e6, ">= 1"),
+        control("--breaker", Kind::Enum, kServe, "on|off",
+                "per-link circuit breakers (default on)"),
+        control("--breaker-open-ms", Kind::Number, kServe, "F", "open time "
+                "of a tripped breaker", 1e-3, 1e9, "> 0"),
+        control("--breaker-probe-successes", Kind::Int, kServe, "N",
+                "successes that close a breaker", 1.0, 1e6, ">= 1"),
+        control("--checkpoint", Kind::String, kServe, "FILE",
+                "crash-safe checkpoint (fleets: epoch manifest)"),
+        control("--resume", Kind::Switch, kServe, "", "resume from the "
+                "checkpoint", 0, 0, "", Mode::Any, "--checkpoint"),
+        control("--checkpoint-interval", Kind::Int, kServe, "N", "requests "
+                "between checkpoints (default 100)", 1.0, 1e9, ">= 1",
+                Mode::Single, "--checkpoint"),
+        control("--shards", Kind::Int, kServe, "N", "fleet partitions "
+                "(output-invariant; default 4)", 1.0, 1e6, ">= 1",
+                Mode::Fleet),
+        control("--checkpoint-every", Kind::Int, kServe, "N", "epochs "
+                "between manifests (default 1)", 1.0, 1e6, ">= 1",
+                Mode::Fleet, "--checkpoint"),
+        control("--halt-after-epochs", Kind::Int, kServe, "N", "simulate a "
+                "crash at this barrier", 1.0, 1e9, ">= 1", Mode::Fleet,
+                "--checkpoint"),
+        control("--fleet-qtable-out", Kind::String, kServe, "FILE", "dump "
+                "every final Q-table", 0, 0, "", Mode::Fleet),
+        control("--fleet-memory", Kind::Switch, kServe, "", "report peak "
+                "RSS (and append it to a JSONL trace)", 0, 0, "",
+                Mode::Fleet),
+    };
+    return kFlags;
+}
+
+/** Row for @p flag accepted by @p command, else any row, else null. */
+const FlagRow *
+findFlag(const std::string &flag, Command command)
+{
+    const FlagRow *other = nullptr;
+    for (const FlagRow &row : flagTable()) {
+        if (flag == row.flag) {
+            if ((row.commands & command) != 0) {
+                return &row;
+            }
+            other = &row;
         }
-        ids.push_back(it->second);
     }
-    if (ids.empty()) {
-        fatal("--scenarios parsed to an empty list");
-    }
-    return ids;
+    return other;
 }
 
-/**
- * Fault plan from `--faults NAME` (none | blackout | flaky-wifi |
- * cloud-brownout) with optional `--fault-seed N` override.
- */
-fault::FaultPlan
-faultsFromArgs(const Args &args)
+/** Levenshtein distance, for did-you-mean hints. */
+std::size_t
+editDistance(const std::string &a, const std::string &b)
 {
-    fault::FaultPlan plan =
-        fault::FaultPlan::fromName(args.get("--faults", "none"));
-    plan.seed = static_cast<std::uint64_t>(
-        args.getInt("--fault-seed", static_cast<int>(plan.seed)));
-    return plan;
-}
-
-/**
- * Strict numeric flag parsers for flags whose silent fallback would
- * change failure semantics (the retry/fault knobs): a present flag
- * whose value is missing, malformed, has trailing garbage, or
- * overflows is a usage error, not a default.
- */
-double
-strictDouble(const Args &args, const std::string &flag, double fallback)
-{
-    double value = fallback;
-    if (args.parseDouble(flag, &value) == Args::ParseStatus::Malformed) {
-        fatal(flag + " expects a number, got '" + args.get(flag) + "'");
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j) {
+        row[j] = j;
     }
-    return value;
-}
-
-int
-strictInt(const Args &args, const std::string &flag, int fallback)
-{
-    int value = fallback;
-    if (args.parseInt(flag, &value) == Args::ParseStatus::Malformed) {
-        fatal(flag + " expects an integer, got '" + args.get(flag) + "'");
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        std::size_t diagonal = row[0];
+        row[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            const std::size_t up = row[j];
+            row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                               diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+            diagonal = up;
+        }
     }
-    return value;
+    return row[b.size()];
 }
 
-/** Basename of a scenario path, so banners stay checkout-independent. */
+/** " (did you mean --x?)" for the nearest flag @p command accepts. */
 std::string
-scenarioFileBase(const std::string &path)
+didYouMean(const std::string &flag, Command command)
 {
-    return path.substr(path.find_last_of('/') + 1);
+    const char *best = nullptr;
+    std::size_t bestDistance = 4; // Farther than 3 edits is no hint.
+    for (const FlagRow &row : flagTable()) {
+        const std::size_t distance = editDistance(flag, row.flag);
+        if ((row.commands & command) != 0 && distance < bestDistance) {
+            best = row.flag;
+            bestDistance = distance;
+        }
+    }
+    return best != nullptr ? std::string(" (did you mean ") + best + "?)"
+                           : "";
+}
+
+/** The validated flags of one command line. */
+struct Flags {
+    const Args &args;
+    /** Run-control numbers, parsed and range-checked. */
+    std::map<std::string, double> numbers;
+    /** Scenario-key flags, in command-line order. */
+    std::vector<scenario::FlagSetting> settings;
+
+    double
+    number(const std::string &flag, double fallback) const
+    {
+        const auto it = numbers.find(flag);
+        return it != numbers.end() ? it->second : fallback;
+    }
+
+    int
+    integer(const std::string &flag, int fallback) const
+    {
+        return static_cast<int>(number(flag, fallback));
+    }
+};
+
+/** A scenario Value for @p row's flag text @p text. */
+scenario::Value
+flagValue(const FlagRow &row, const Args &args, const std::string &text)
+{
+    scenario::Value value;
+    if (row.kind == Kind::Int || row.kind == Kind::Number) {
+        if (args.parseDouble(row.flag, &value.num)
+            != Args::ParseStatus::Ok) {
+            fatal(std::string(row.flag) + " expects a number, got '" + text
+                  + "'");
+        }
+        value.kind = scenario::Value::Kind::Number;
+        return value;
+    }
+    // A list of one is its item, as a file's `base = "S1"`.
+    std::stringstream stream(text);
+    std::string item;
+    while (row.kind == Kind::List && std::getline(stream, item, ',')) {
+        value.items.emplace_back();
+        value.items.back().str = item;
+    }
+    if (value.items.size() > 1) {
+        value.kind = scenario::Value::Kind::List;
+    } else {
+        value.items.clear();
+        value.str = text;
+    }
+    return value;
+}
+
+/** Check one run-control value against @p row's kind and range. */
+double
+controlValue(const FlagRow &row, const Args &args, const std::string &text)
+{
+    const std::string flag = row.flag;
+    if (text.empty()) {
+        fatal(flag + " expects " + row.metavar);
+    }
+    if (row.kind == Kind::Enum) {
+        const std::string choices = std::string("|") + row.metavar + "|";
+        if (text.find('|') != std::string::npos
+            || choices.find("|" + text + "|") == std::string::npos) {
+            fatal(flag + " expects one of " + row.metavar + ", got '" + text
+                  + "'");
+        }
+        return 0.0;
+    }
+    double value = 0.0;
+    if (row.kind != Kind::Int && row.kind != Kind::Number) {
+        return value;
+    }
+    if (args.parseDouble(flag, &value) != Args::ParseStatus::Ok
+        || !std::isfinite(value)
+        || (row.kind == Kind::Int && value != std::floor(value))) {
+        fatal(flag + " expects "
+              + (row.kind == Kind::Int ? "an integer" : "a number")
+              + ", got '" + text + "'");
+    }
+    if (value < row.lo || value > row.hi) {
+        fatal(flag + " must be " + row.constraint + ", got " + text);
+    }
+    return value;
 }
 
 /**
- * Load `--scenario FILE` (with `--variant N` selection when the file
- * sweeps) into a typed, validated spec. Returns nullopt for an empty
- * @p value. Every diagnostic prints before the fatal, so a broken
- * file reports all its problems in one run.
+ * Validate every token after the command against the flag table:
+ * unknown and misplaced flags, stray positionals, missing values and
+ * conflicting repeats are fatal. Run-control values are checked here;
+ * scenario-key values become Flags::settings for the binder.
  */
-std::optional<scenario::LoadedScenario>
-loadScenarioArg(const Args &args, const std::string &value)
+Flags
+parseFlags(const Args &args, Command command, const std::string &name)
 {
-    if (value.empty()) {
-        return std::nullopt;
+    Flags flags{args, {}, {}};
+    const std::vector<std::string> &tokens = args.tokens();
+    for (std::size_t i = 2; i < tokens.size(); ++i) {
+        const std::string &token = tokens[i];
+        if (token.rfind("--", 0) != 0) {
+            fatal("unexpected argument '" + token + "' (values follow "
+                  "their --flag; quote values with spaces)");
+        }
+        const FlagRow *row = findFlag(token, command);
+        if (row == nullptr) {
+            fatal("unknown flag " + token + didYouMean(token, command));
+        }
+        if ((row->commands & command) == 0) {
+            fatal(token + " is not accepted by " + name);
+        }
+        if (row->kind == Kind::Switch) {
+            continue;
+        }
+        if (i + 1 == tokens.size() || tokens[i + 1].rfind("--", 0) == 0) {
+            fatal(token + " expects " + row->metavar
+                  + (i + 1 < tokens.size()
+                         ? ", got '" + tokens[i + 1] + "'"
+                         : std::string()));
+        }
+        const std::string &text = tokens[++i];
+        if (args.hasConflictingDuplicate(token)) {
+            fatal(token + " given multiple times with conflicting values");
+        }
+        if (*row->key == '\0') {
+            flags.numbers[token] = controlValue(*row, args, text);
+            continue;
+        }
+        const std::string key = row->key;
+        const std::size_t dot = key.find('.');
+        flags.settings.push_back({token, key.substr(0, dot),
+                                  key.substr(dot + 1),
+                                  flagValue(*row, args, text)});
     }
-    scenario::Diagnostics diags;
-    std::vector<scenario::LoadedScenario> loaded =
-        scenario::loadScenarioFile(value, diags);
-    if (!diags.ok()) {
-        std::cerr << diags.render();
-        fatal("invalid scenario file '" + value + "' ("
-              + std::to_string(diags.diags().size()) + " error(s))");
+    for (const FlagRow &row : flagTable()) {
+        if (*row.needs != '\0' && (row.commands & command) != 0
+            && flags.args.has(row.flag) && !flags.args.has(row.needs)) {
+            fatal(std::string(row.flag) + " requires " + row.needs);
+        }
     }
-    int variant = strictInt(args, "--variant", -1);
-    if (variant < 0) {
-        if (loaded.size() > 1) {
-            fatal("'" + value + "' expands to "
-                  + std::to_string(loaded.size())
+    return flags;
+}
+
+/** Fatal on a fleet-only or single-device-only flag in the other mode. */
+void
+requireServingMode(const Flags &flags, bool fleet)
+{
+    for (const FlagRow &row : flagTable()) {
+        if (row.mode == (fleet ? Mode::Single : Mode::Fleet)
+            && (row.commands & kServe) != 0 && flags.args.has(row.flag)) {
+            fatal(std::string(row.flag)
+                  + (fleet ? " applies to single-device serving only"
+                           : " requires fleet serving (--fleet N > 1)"));
+        }
+    }
+}
+
+/** Whether @p name is a Table IV scenario (S1..D4). */
+bool
+isTableIvName(const std::string &name)
+{
+    for (const env::ScenarioId id : env::allScenarios()) {
+        if (name == env::scenarioName(id)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * Load `--scenario FILE` (with `--variant N` when the file sweeps),
+ * overlay the command line's scenario-key flags and bind the result
+ * once. Every diagnostic prints before the fatal, so a broken run
+ * reports all its problems in one go. Command defaults that differ
+ * from ScenarioSpec's fill what neither side set.
+ */
+scenario::ScenarioSpec
+bindScenario(const Flags &flags, Command command)
+{
+    std::vector<scenario::FlagSetting> settings = flags.settings;
+    std::string path = flags.args.get("--scenario");
+    if (command == kServe && isTableIvName(path)) {
+        // serve's historical dual mode: a Table IV name, not a file.
+        if (flags.args.has("--variant")) {
+            fatal("--variant needs a scenario file, not the Table IV "
+                  "name " + path);
+        }
+        settings.push_back({"--scenario", "env", "base", {}});
+        settings.back().value.str = path;
+        path.clear();
+    }
+    std::optional<scenario::LoadedScenario> loaded;
+    if (!path.empty()) {
+        scenario::Diagnostics diags;
+        std::vector<scenario::LoadedScenario> variants =
+            scenario::loadScenarioFile(path, diags);
+        if (!diags.ok()) {
+            std::cerr << diags.render();
+            fatal("invalid scenario file '" + path + "' ("
+                  + std::to_string(diags.diags().size()) + " error(s))");
+        }
+        if (!flags.args.has("--variant") && variants.size() > 1) {
+            fatal("'" + path + "' expands to "
+                  + std::to_string(variants.size())
                   + " variants; pick one with --variant N "
                     "(scenario_lint --expand lists them)");
         }
-        variant = 0;
+        const auto variant =
+            static_cast<std::size_t>(flags.integer("--variant", 0));
+        if (variant >= variants.size()) {
+            fatal("--variant " + std::to_string(variant)
+                  + " out of range; '" + path + "' expands to "
+                  + std::to_string(variants.size()) + " variant(s)");
+        }
+        loaded = std::move(variants[variant]);
     }
-    if (variant >= static_cast<int>(loaded.size())) {
-        fatal("--variant " + std::to_string(variant)
-              + " out of range; '" + value + "' expands to "
-              + std::to_string(loaded.size()) + " variant(s)");
+    scenario::Diagnostics diags;
+    scenario::ScenarioSpec spec = scenario::bindWithFlags(
+        loaded ? &*loaded : nullptr, settings, diags);
+    if (!diags.ok()) {
+        std::cerr << diags.render();
+        fatal("invalid settings (" + std::to_string(diags.diags().size())
+              + " error(s))");
     }
-    return loaded[static_cast<std::size_t>(variant)];
+    if (command != kServe && !spec.isSet("env.base")) {
+        spec.envBases = {env::ScenarioId::S1, env::ScenarioId::S2,
+                         env::ScenarioId::S3, env::ScenarioId::S4,
+                         env::ScenarioId::S5};
+    }
+    if (spec.trainRuns < 0) {
+        spec.trainRuns = command == kServe ? 40 : 400;
+    }
+    return spec;
 }
 
 /**
- * Fault plan under a (possibly absent) scenario file. A file that
- * declares fault content owns the plan — mixing it with a `--faults`
- * preset is a conflict, not a merge. `--fault-seed` still resolves
- * against `fault.seed` like any scalar.
+ * Fault plan of a run. A file that declares fault content owns the
+ * plan — mixing it with a `--faults` preset is a conflict, not a
+ * merge. `fault.seed` (`--fault-seed`) applies either way.
  */
 fault::FaultPlan
-mergeFaults(const Args &args, const scenario::SettingsMerger &merge)
+faultPlan(const Flags &flags, const scenario::ScenarioSpec &spec)
 {
-    const scenario::ScenarioSpec *spec = merge.spec();
-    fault::FaultPlan plan;
-    if (spec != nullptr && spec->faults.enabled()) {
-        if (args.has("--faults")) {
+    if (spec.faults.enabled()) {
+        if (flags.args.has("--faults")) {
             fatal("--faults conflicts with the fault sections of "
-                  + spec->sourceFile
-                  + " (drop the flag or the sections)");
+                  + spec.sourceFile + " (drop the flag or the sections)");
         }
-        plan = spec->faults;
-    } else {
-        plan = fault::FaultPlan::fromName(args.get("--faults", "none"));
+        return spec.faults;
     }
-    plan.seed = merge.resolveSeed(
-        "--fault-seed", "fault.seed",
-        spec != nullptr ? spec->faults.seed : plan.seed, plan.seed);
+    fault::FaultPlan plan =
+        fault::FaultPlan::fromName(flags.args.get("--faults", "none"));
+    plan.seed = spec.faults.seed;
     return plan;
 }
 
-/**
- * Table IV environment list: `--scenarios` flag vs the file's
- * `env.base`, conflict-checked as whole lists.
- */
-std::vector<env::ScenarioId>
-mergeScenarios(const Args &args, const scenario::SettingsMerger &merge)
-{
-    const scenario::ScenarioSpec *spec = merge.spec();
-    if (spec == nullptr || !spec->isSet("env.base")) {
-        return scenariosFromArgs(args);
-    }
-    if (args.has("--scenarios")) {
-        const std::vector<env::ScenarioId> fromFlag =
-            scenariosFromArgs(args);
-        if (fromFlag != spec->envBases) {
-            fatal("--scenarios " + args.get("--scenarios")
-                  + " conflicts with env.base from " + spec->sourceFile
-                  + " (drop the flag or change the file)");
-        }
-    }
-    return spec->envBases;
-}
-
-/**
- * Retry policy from `--timeout-ms` / `--max-retries` / `--backoff-ms` /
- * `--backoff-mult`, resolved against the file's [retry] section. All
- * four fail fast on malformed or out-of-range values: a typo here
- * would silently change what "failure" costs.
- */
-fault::RetryPolicy
-retryFromArgs(const Args &args, const scenario::SettingsMerger &merge)
-{
-    const fault::RetryPolicy base = merge.spec() != nullptr
-        ? merge.spec()->retry
-        : fault::RetryPolicy{};
-    fault::RetryPolicy retry;
-    retry.timeoutMs = merge.resolveDouble(
-        "--timeout-ms", "retry.timeout_ms", base.timeoutMs,
-        retry.timeoutMs);
-    retry.maxRetries = merge.resolveInt(
-        "--max-retries", "retry.max_retries", base.maxRetries,
-        retry.maxRetries);
-    retry.backoffBaseMs = merge.resolveDouble(
-        "--backoff-ms", "retry.backoff_ms", base.backoffBaseMs,
-        retry.backoffBaseMs);
-    retry.backoffMultiplier = merge.resolveDouble(
-        "--backoff-mult", "retry.backoff_mult", base.backoffMultiplier,
-        retry.backoffMultiplier);
-    if (retry.timeoutMs <= 0.0) {
-        fatal("--timeout-ms must be positive");
-    }
-    if (retry.maxRetries < 0) {
-        fatal("--max-retries must be >= 0");
-    }
-    if (retry.backoffBaseMs < 0.0) {
-        fatal("--backoff-ms must be >= 0");
-    }
-    if (retry.backoffMultiplier <= 0.0) {
-        fatal("--backoff-mult must be positive");
-    }
-    return retry;
-}
-
 sim::InferenceSimulator
-simFromArgs(const Args &args, const scenario::SettingsMerger &merge)
+makeSim(const Flags &flags, const scenario::ScenarioSpec &spec)
 {
-    const std::string device = merge.resolveString(
-        "--device", "device.model",
-        merge.spec() != nullptr ? merge.spec()->deviceModel : "",
-        "Mi8Pro");
     sim::InferenceSimulator sim = sim::InferenceSimulator::makeDefault(
-        platform::makePhone(device));
+        platform::makePhone(spec.deviceModel));
     // --direct bypasses the precomputed cost tables (DESIGN.md section
     // 13). Outcomes are bit-identical either way; this exists to
     // demonstrate that and to time the difference.
-    if (args.has("--direct")) {
+    if (flags.args.has("--direct")) {
         sim.setUseCostCache(false);
     }
     return sim;
 }
 
-/** Flag-only simulator (commands without --scenario file support). */
-sim::InferenceSimulator
-simFromArgs(const Args &args)
+/** Co-runner and signal environment of a single decision. */
+env::EnvState
+probeEnv(const Flags &flags)
 {
-    return simFromArgs(args, scenario::SettingsMerger(args, nullptr));
+    env::EnvState env;
+    env.coCpuUtil = flags.number("--co-cpu", env.coCpuUtil);
+    env.coMemUtil = flags.number("--co-mem", env.coMemUtil);
+    env.rssiWlanDbm = flags.number("--rssi-wlan", env.rssiWlanDbm);
+    env.rssiP2pDbm = flags.number("--rssi-p2p", env.rssiP2pDbm);
+    return env;
 }
 
-/**
- * Worker threads from `--jobs` (default: one per hardware thread).
- * Results are deterministic for every value; `--jobs 1` runs the exact
- * serial loop.
- */
-int
-jobsFromArgs(const Args &args)
+/** Print @p table as CSV under --csv, else aligned. */
+void
+printTable(const Flags &flags, const Table &table)
 {
-    return std::max(1, args.getInt("--jobs", harness::defaultJobs()));
+    if (flags.args.has("--csv")) {
+        table.printCsv(std::cout);
+    } else {
+        table.print(std::cout);
+    }
 }
 
 int
@@ -337,17 +685,18 @@ cmdWorkloads()
 }
 
 int
-cmdCharacterize(const Args &args)
+cmdCharacterize(const Flags &flags)
 {
-    const sim::InferenceSimulator sim = simFromArgs(args);
-    const env::EnvState env = envFromArgs(args);
+    const scenario::ScenarioSpec spec = bindScenario(flags, kCharacterize);
+    const sim::InferenceSimulator sim = makeSim(flags, spec);
+    const env::EnvState env = probeEnv(flags);
     baselines::OptOracle oracle(sim);
     std::cout << "Device: " << sim.localDevice().name() << "\n\n";
     Table table({"Network", "Optimal target", "Latency (ms)",
                  "Energy (mJ)", "PPW vs CPU FP32"});
     for (const auto &net : dnn::modelZoo()) {
-        const sim::InferenceRequest request = sim::makeRequest(
-            net, args.getDouble("--accuracy", 50.0));
+        const sim::InferenceRequest request =
+            sim::makeRequest(net, spec.accuracyTargetPct);
         const sim::ExecutionTarget opt = oracle.optimalTarget(request, env);
         const sim::Outcome o = sim.expected(net, opt, env);
         const sim::ExecutionTarget cpu{
@@ -364,14 +713,15 @@ cmdCharacterize(const Args &args)
 }
 
 int
-cmdDecide(const Args &args)
+cmdDecide(const Flags &flags)
 {
-    const sim::InferenceSimulator sim = simFromArgs(args);
-    const std::string network = args.get("--network", "MobileNet v3");
-    const dnn::Network &net = dnn::findModel(network);
-    const env::EnvState env = envFromArgs(args);
+    const scenario::ScenarioSpec spec = bindScenario(flags, kDecide);
+    const sim::InferenceSimulator sim = makeSim(flags, spec);
+    const dnn::Network &net = dnn::findModel(
+        spec.network.empty() ? "MobileNet v3" : spec.network);
+    const env::EnvState env = probeEnv(flags);
     const sim::InferenceRequest request =
-        sim::makeRequest(net, args.getDouble("--accuracy", 50.0));
+        sim::makeRequest(net, spec.accuracyTargetPct);
 
     baselines::OptOracle oracle(sim);
     std::cout << "Network: " << net.name() << " on "
@@ -410,7 +760,7 @@ cmdDecide(const Args &args)
 
     Table table({"Rank", "Target", "Latency (ms)", "Energy (mJ)",
                  "QoS", "Accuracy"});
-    const int top = args.getInt("--top", 8);
+    const int top = flags.integer("--top", 8);
     for (int i = 0; i < top && i < static_cast<int>(rows.size()); ++i) {
         const Row &row = rows[static_cast<std::size_t>(i)];
         table.addRow({std::to_string(i + 1), row.label,
@@ -424,49 +774,33 @@ cmdDecide(const Args &args)
 }
 
 int
-cmdTrain(const Args &args)
+cmdTrain(const Flags &flags)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
-
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
-    const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
-    const int runs = merge.resolveInt(
-        "--runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 400, 400);
-    const std::uint64_t seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    const double accuracy = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
-
-    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
+    const scenario::ScenarioSpec spec = bindScenario(flags, kTrain);
+    sim::InferenceSimulator sim = makeSim(flags, spec);
+    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(flags.args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
-    const fault::FaultPlan faults = mergeFaults(args, merge);
-    const fault::RetryPolicy retry = retryFromArgs(args, merge);
-    auto policy = harness::makeAutoScalePolicy(sim, seed);
-    Rng rng(seed ^ 0x7ea1ULL);
+    const fault::FaultPlan faults = faultPlan(flags, spec);
+    auto policy = harness::makeAutoScalePolicy(sim, spec.seed);
+    Rng rng(spec.seed ^ 0x7ea1ULL);
     std::cout << "Training on " << sim.localDevice().name() << " across "
-              << scenarios.size() << " scenario(s), " << runs
+              << spec.envBases.size() << " scenario(s), " << spec.trainRuns
               << " runs per (network, scenario)";
     if (faults.enabled()) {
         std::cout << ", faults: " << faults.name;
     }
     std::cout << "...\n";
     harness::trainPolicy(*policy, sim, harness::allZooNetworks(),
-                         scenarios, runs, rng, false, accuracy,
-                         obs_out.context(), faults, retry);
+                         spec.envBases, spec.trainRuns, rng, false,
+                         spec.accuracyTargetPct, obs_out.context(), faults,
+                         spec.retry);
 
     // Atomic replace: a crash (or a concurrent reader) never sees a
     // half-written table, and an existing file survives a failed write.
-    const std::string out = args.get("--out", "qtable.txt");
+    const std::string out = flags.args.get("--out", "qtable.txt");
     std::ostringstream buffer;
     policy->scheduler().saveQTable(buffer);
     std::string error;
@@ -481,39 +815,27 @@ cmdTrain(const Args &args)
 }
 
 int
-cmdEvaluate(const Args &args)
+cmdEvaluate(const Flags &flags)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
-
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
-    const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
-    const std::uint64_t seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    const int trainRuns = merge.resolveInt(
-        "--train-runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 400, 400);
-    const double accuracy = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
+    const scenario::ScenarioSpec spec = bindScenario(flags, kEvaluate);
+    sim::InferenceSimulator sim = makeSim(flags, spec);
+    const std::vector<env::ScenarioId> &scenarios = spec.envBases;
+    const std::uint64_t seed = spec.seed;
+    const double accuracy = spec.accuracyTargetPct;
 
     // The simulator-level counters commute (integer adds), so the
     // shared observer stays deterministic even with concurrent
     // comparator evaluation below.
-    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
+    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(flags.args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
-    const fault::FaultPlan faults = mergeFaults(args, merge);
-    const fault::RetryPolicy retry = retryFromArgs(args, merge);
+    const fault::FaultPlan faults = faultPlan(flags, spec);
+    const fault::RetryPolicy &retry = spec.retry;
 
     auto autoscale_policy = harness::makeAutoScalePolicy(sim, seed);
-    const std::string qtable = args.get("--qtable");
+    const std::string qtable = flags.args.get("--qtable");
     if (!qtable.empty()) {
         std::ifstream file(qtable);
         if (!file) {
@@ -526,13 +848,13 @@ cmdEvaluate(const Args &args)
         std::cout << "No --qtable given; training in place...\n";
         harness::trainPolicy(*autoscale_policy, sim,
                              harness::allZooNetworks(), scenarios,
-                             trainRuns, rng, false, accuracy, {}, faults,
-                             retry);
+                             spec.trainRuns, rng, false, accuracy, {},
+                             faults, retry);
     }
     autoscale_policy->setExploration(false);
 
     harness::EvalOptions options;
-    options.runsPerCombo = args.getInt("--runs", 30);
+    options.runsPerCombo = flags.integer("--runs", 30);
     options.accuracyTargetPct = accuracy;
     options.seed = seed + 1;
     options.faults = faults;
@@ -568,7 +890,9 @@ cmdEvaluate(const Args &args)
     };
     const std::vector<PolicyResult> comparator_results =
         harness::parallelIndexed(
-            comparators.size(), jobsFromArgs(args), [&](std::size_t i) {
+            comparators.size(),
+            flags.integer("--jobs", harness::defaultJobs()),
+            [&](std::size_t i) {
                 auto policy = comparators[i].make();
                 PolicyResult result;
                 harness::EvalOptions task_options = options;
@@ -613,11 +937,7 @@ cmdEvaluate(const Args &args)
     }
     add("AutoScale", autoscale_stats);
 
-    if (args.has("--csv")) {
-        table.printCsv(std::cout);
-    } else {
-        table.print(std::cout);
-    }
+    printTable(flags, table);
 
     if (faults.enabled()) {
         std::cout << "\nFault injection (" << faults.name << ", seed "
@@ -639,56 +959,38 @@ cmdEvaluate(const Args &args)
             add_faults(comparators[i].name, comparator_results[i].stats);
         }
         add_faults("AutoScale", autoscale_stats);
-        if (args.has("--csv")) {
-            fault_table.printCsv(std::cout);
-        } else {
-            fault_table.print(std::cout);
-        }
+        printTable(flags, fault_table);
     }
     obs_out.finalize(&std::cout);
     return 0;
 }
 
 int
-cmdLoo(const Args &args)
+cmdLoo(const Flags &flags)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
-
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
-    const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
-    const int jobs = jobsFromArgs(args);
-
-    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
+    const scenario::ScenarioSpec spec = bindScenario(flags, kLoo);
+    sim::InferenceSimulator sim = makeSim(flags, spec);
+    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(flags.args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
     harness::EvalOptions options;
-    options.runsPerCombo = args.getInt("--runs", 30);
-    options.looWarmupRuns = args.getInt("--warmup", 150);
-    options.accuracyTargetPct = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
-    options.seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    options.jobs = jobs;
+    options.runsPerCombo = flags.integer("--runs", 30);
+    options.looWarmupRuns = flags.integer("--warmup", 150);
+    options.accuracyTargetPct = spec.accuracyTargetPct;
+    options.seed = spec.seed;
+    options.jobs = flags.integer("--jobs", harness::defaultJobs());
     options.obs = obs_out.context();
-    options.faults = mergeFaults(args, merge);
-    options.retry = retryFromArgs(args, merge);
+    options.faults = faultPlan(flags, spec);
+    options.retry = spec.retry;
 
     std::cout << "Leave-one-out over " << harness::allZooNetworks().size()
               << " workloads on " << sim.localDevice().name() << ", "
-              << scenarios.size() << " scenario(s), " << jobs
+              << spec.envBases.size() << " scenario(s), " << options.jobs
               << " worker(s)...\n";
     const harness::RunStats loo = harness::evaluateAutoScaleLoo(
-        sim, harness::allZooNetworks(), scenarios,
-        merge.resolveInt("--train-runs", "workload.train_runs",
-                         spec != nullptr ? spec->trainRuns : 400, 400),
+        sim, harness::allZooNetworks(), spec.envBases, spec.trainRuns,
         options);
 
     Table table({"Metric", "Value"});
@@ -711,136 +1013,55 @@ cmdLoo(const Args &args)
         table.addRow({"Fault wasted energy (mJ)",
                       Table::num(loo.faultWastedEnergyJ() * 1e3, 1)});
     }
-    if (args.has("--csv")) {
-        table.printCsv(std::cout);
-    } else {
-        table.print(std::cout);
-    }
+    printTable(flags, table);
     obs_out.finalize(&std::cout);
     return 0;
 }
 
-/** Single scenario from @p flag ("S1".."D4"). */
-env::ScenarioId
-scenarioFromArg(const Args &args, const char *flag, const char *fallback)
-{
-    const std::string name = args.get(flag, fallback);
-    for (const env::ScenarioId id : env::allScenarios()) {
-        if (name == env::scenarioName(id)) {
-            return id;
-        }
-    }
-    fatal("unknown scenario '" + name + "' (use S1-S5, D1-D4)");
-}
-
 int
-cmdServe(const Args &args)
+cmdServe(const Flags &flags)
 {
-    // `--scenario` is dual-mode on serve: a Table IV name (S1..D4)
-    // keeps its historical meaning; anything else is a scenario file
-    // path (scenarios/*.scn).
-    const std::string scenarioArg = args.get("--scenario", "D3");
-    bool isTableIvName = false;
-    for (const env::ScenarioId id : env::allScenarios()) {
-        if (scenarioArg == env::scenarioName(id)) {
-            isTableIvName = true;
-            break;
-        }
+    const scenario::ScenarioSpec spec = bindScenario(flags, kServe);
+    requireServingMode(flags, spec.population > 1);
+    if (spec.envBases.size() != 1) {
+        fatal("serve replays one environment, but " + spec.sourceFile
+              + " lists " + std::to_string(spec.envBases.size())
+              + " env.base entries (sweep them with [variant])");
     }
-    const std::optional<scenario::LoadedScenario> loaded =
-        isTableIvName ? std::nullopt : loadScenarioArg(args, scenarioArg);
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
 
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
-    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
+    sim::InferenceSimulator sim = makeSim(flags, spec);
+    obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(flags.args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
     serve::ServeConfig config;
-    if (spec != nullptr) {
-        if (spec->envBases.size() != 1) {
-            fatal("serve replays one environment, but " + scenarioArg
-                  + " lists " + std::to_string(spec->envBases.size())
-                  + " env.base entries (sweep them with [variant])");
-        }
-        config.scenario = spec->envBases.front();
-    } else {
-        config.scenario = scenarioFromArg(args, "--scenario", "D3");
-    }
-    config.faults = mergeFaults(args, merge);
-    config.retry = retryFromArgs(args, merge);
-    config.totalRequests = merge.resolveInt(
-        "--requests", "workload.requests",
-        spec != nullptr ? spec->requests : 1000, 1000);
-    if (config.totalRequests <= 0) {
-        fatal("--requests must be positive");
-    }
-    config.policyName = args.get("--policy", "autoscale");
-    config.networkFilter = merge.resolveString(
-        "--network", "workload.network",
-        spec != nullptr ? spec->network : "", "");
-    config.accuracyTargetPct = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
-    config.seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    config.trainRunsPerCombo = merge.resolveInt(
-        "--train-runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 40, 40);
-    config.qtablePath = args.get("--qtable");
-    config.checkpointPath = args.get("--checkpoint");
-    config.checkpointIntervalRequests =
-        args.getInt("--checkpoint-interval", 100);
-    config.resume = args.has("--resume");
+    config.scenario = spec.envBases.front();
+    config.faults = faultPlan(flags, spec);
+    config.retry = spec.retry;
+    config.totalRequests = spec.requests;
+    config.policyName = flags.args.get("--policy", config.policyName);
+    config.networkFilter = spec.network;
+    config.accuracyTargetPct = spec.accuracyTargetPct;
+    config.seed = spec.seed;
+    config.trainRunsPerCombo = spec.trainRuns;
+    config.qtablePath = flags.args.get("--qtable");
+    config.checkpointPath = flags.args.get("--checkpoint");
+    config.checkpointIntervalRequests = flags.integer(
+        "--checkpoint-interval", config.checkpointIntervalRequests);
+    config.resume = flags.args.has("--resume");
+    config.batchSize = flags.integer("--batch", config.batchSize);
+    config.admission.maxDepth = spec.queueDepth;
+    config.admission.degradeDepth = spec.degradeDepth;
+    config.breakerEnabled = flags.args.get("--breaker", "on") == "on";
+    config.breaker.openBaseMs =
+        flags.number("--breaker-open-ms", config.breaker.openBaseMs);
+    config.breaker.halfOpenSuccesses = flags.integer(
+        "--breaker-probe-successes", config.breaker.halfOpenSuccesses);
 
-    config.batchSize = strictInt(args, "--batch", config.batchSize);
-    if (config.batchSize == 0) {
-        fatal("--batch 0 is no longer accepted: the scalar reference loop"
-              " was removed; --batch 1 serves one request per tick");
-    }
-    if (config.batchSize < 0) {
-        fatal("--batch must be >= 1");
-    }
-    if (args.has("--fleet-legacy-devices")) {
-        fatal("--fleet-legacy-devices was removed: every fleet uses the"
-              " compact device layout");
-    }
-
-    config.admission.maxDepth = merge.resolveInt(
-        "--queue-depth", "qos.queue_depth",
-        spec != nullptr ? spec->queueDepth : 64, 64);
-    if (config.admission.maxDepth <= 0) {
-        fatal("--queue-depth must be positive");
-    }
-    config.admission.degradeDepth = merge.resolveInt(
-        "--degrade-depth", "qos.degrade_depth",
-        spec != nullptr ? spec->degradeDepth : 8, 8);
-
-    const std::string breaker = args.get("--breaker", "on");
-    if (breaker == "on") {
-        config.breakerEnabled = true;
-    } else if (breaker == "off") {
-        config.breakerEnabled = false;
-    } else {
-        fatal("--breaker expects 'on' or 'off', got '" + breaker + "'");
-    }
-    config.breaker.openBaseMs = strictDouble(
-        args, "--breaker-open-ms", config.breaker.openBaseMs);
-    if (config.breaker.openBaseMs <= 0.0) {
-        fatal("--breaker-open-ms must be positive");
-    }
-    config.breaker.halfOpenSuccesses = strictInt(
-        args, "--breaker-probe-successes", config.breaker.halfOpenSuccesses);
-    if (config.breaker.halfOpenSuccesses <= 0) {
-        fatal("--breaker-probe-successes must be positive");
-    }
-
-    // Arrival rate: either absolute (--rate-hz) or as a multiple of the
-    // server's nominal local-only capacity (--rate-x; 2.0 = sustained
-    // 2x overload).
+    // Arrival rate: either absolute (arrival.rate_rps) or as a multiple
+    // of the server's nominal local-only capacity (arrival.rate_x; 2.0
+    // = sustained 2x overload).
     std::vector<const dnn::Network *> networks;
     for (const auto &network : dnn::modelZoo()) {
         if (config.networkFilter.empty()
@@ -848,225 +1069,51 @@ cmdServe(const Args &args)
             networks.push_back(&network);
         }
     }
-    if (networks.empty()) {
-        fatal("unknown network '" + config.networkFilter + "'");
-    }
     const double nominal_ms = serve::nominalServiceMs(
         sim, networks, config.accuracyTargetPct);
-    // Absolute (--rate-hz / arrival.rate_rps) and relative (--rate-x /
-    // arrival.rate_x) spellings are one setting: crossing a flag of
-    // one spelling with a file key of the other is a conflict.
-    const bool fileRps = merge.fileSets("arrival.rate_rps");
-    const bool fileX = merge.fileSets("arrival.rate_x");
-    if (args.has("--rate-hz") && fileX) {
-        fatal("--rate-hz conflicts with arrival.rate_x from "
-              + spec->sourceFile + " (drop one spelling)");
-    }
-    if (args.has("--rate-x") && fileRps) {
-        fatal("--rate-x conflicts with arrival.rate_rps from "
-              + spec->sourceFile + " (drop one spelling)");
-    }
-    double rate_hz = 0.0;
-    if (args.has("--rate-hz") || fileRps) {
-        rate_hz = merge.resolveDouble(
-            "--rate-hz", "arrival.rate_rps",
-            spec != nullptr ? spec->arrival.rateRps : 0.0, 0.0);
-    } else {
-        rate_hz = merge.resolveDouble(
-                      "--rate-x", "arrival.rate_x",
-                      spec != nullptr ? spec->arrival.rateX : 2.0, 2.0)
-            * 1000.0 / nominal_ms;
-    }
-    if (rate_hz <= 0.0) {
-        fatal("--rate-hz/--rate-x must be positive");
-    }
+    const double rate_hz = spec.arrival.rateRps > 0.0
+        ? spec.arrival.rateRps
+        : spec.arrival.rateX * 1000.0 / nominal_ms;
     config.arrival.ratePerSec = rate_hz;
-    config.arrival.burstPeriodMs = merge.resolveDouble(
-        "--burst-period-ms", "arrival.burst_period_ms",
-        spec != nullptr ? spec->arrival.burstPeriodMs : 0.0,
-        config.arrival.burstPeriodMs);
-    config.arrival.burstDurationMs = merge.resolveDouble(
-        "--burst-ms", "arrival.burst_ms",
-        spec != nullptr ? spec->arrival.burstMs : 0.0,
-        config.arrival.burstDurationMs);
-    config.arrival.burstMultiplier = merge.resolveDouble(
-        "--burst-mult", "arrival.burst_mult",
-        spec != nullptr ? spec->arrival.burstMult : 1.0,
-        config.arrival.burstMultiplier);
-    if (spec != nullptr) {
-        // Diurnal modulation is scenario-file-only (no flag spelling).
-        config.arrival.diurnalPeriodMs = spec->arrival.diurnalPeriodMs;
-        config.arrival.diurnalAmplitude = spec->arrival.diurnalAmplitude;
+    config.arrival.burstPeriodMs = spec.arrival.burstPeriodMs;
+    config.arrival.burstDurationMs = spec.arrival.burstMs;
+    config.arrival.burstMultiplier = spec.arrival.burstMult;
+    config.arrival.diurnalPeriodMs = spec.arrival.diurnalPeriodMs;
+    config.arrival.diurnalAmplitude = spec.arrival.diurnalAmplitude;
+
+    if (!spec.sourceFile.empty()) {
+        // The basename keeps the banner checkout-independent.
+        std::cout << "Scenario: " << spec.name << " ("
+                  << spec.sourceFile.substr(
+                         spec.sourceFile.find_last_of('/') + 1)
+                  << ")\n";
     }
 
-    // --- Fleet mode: --fleet N > 1 drives N devices through the
-    // shared-infrastructure event loop. --fleet 1 (the default) takes
+    // --- Fleet mode: device.population > 1 drives N devices through
+    // the shared-infrastructure event loop. A population of one takes
     // the single-device path below, byte-identical to pre-fleet serve.
-    const int fleetDevices = merge.resolveInt(
-        "--fleet", "device.population",
-        spec != nullptr ? spec->population : 1, 1);
-    if (fleetDevices < 1) {
-        fatal("--fleet must be >= 1");
-    }
-    // Flags that only mean something in one serving mode fail loudly
-    // in the other instead of being silently ignored: a typo'd or
-    // misplaced knob must never change which run gets reproduced.
-    if (config.resume && config.checkpointPath.empty()) {
-        fatal("--resume requires --checkpoint FILE");
-    }
-    if (config.checkpointIntervalRequests <= 0) {
-        fatal("--checkpoint-interval must be positive");
-    }
-    if (fleetDevices <= 1) {
-        for (const char *fleetOnly :
-             {"--epoch-ms", "--merge-epochs", "--checkpoint-every",
-              "--halt-after-epochs", "--churn-crash-prob",
-              "--churn-leave-prob", "--churn-down-epochs",
-              "--churn-initial-devices", "--churn-join-every",
-              "--outage-period-ms", "--outage-ms",
-              "--fleet-memory"}) {
-            if (args.has(fleetOnly)) {
-                fatal(std::string(fleetOnly)
-                      + " requires fleet serving (--fleet N > 1)");
-            }
-        }
-    }
-    if (fleetDevices > 1) {
-        if (args.has("--checkpoint-interval")) {
-            fatal("--checkpoint-interval is per-request (single-device "
-                  "serving); fleets checkpoint at epoch barriers "
-                  "(--checkpoint-every)");
-        }
+    if (spec.population > 1) {
         serve::FleetConfig fleet;
         fleet.serve = config;
-        fleet.devices = fleetDevices;
-        fleet.shards = strictInt(args, "--shards", fleet.shards);
-        if (fleet.shards < 1) {
-            fatal("--shards must be >= 1");
-        }
-        fleet.jobs = args.getInt("--jobs", 0);
-        fleet.qMode = serve::qTableModeFromName(merge.resolveString(
-            "--q-mode", "fleet.q_mode",
-            spec != nullptr ? spec->fleet.qMode : "per-device",
-            "per-device"));
-        fleet.federatedMergeEpochs = merge.resolveInt(
-            "--merge-epochs", "fleet.merge_epochs",
-            spec != nullptr ? spec->fleet.mergeEpochs : 8,
-            fleet.federatedMergeEpochs);
-        if (fleet.federatedMergeEpochs < 1) {
-            fatal("--merge-epochs must be >= 1");
-        }
-        fleet.epochMs = merge.resolveDouble(
-            "--epoch-ms", "fleet.epoch_ms",
-            spec != nullptr ? spec->fleet.epochMs : 250.0,
-            fleet.epochMs);
-        if (fleet.epochMs <= 0.0) {
-            fatal("--epoch-ms must be positive");
-        }
-        const serve::SharedInfraConfig infraSpec = spec != nullptr
-            ? spec->infra
-            : serve::SharedInfraConfig{};
-        fleet.infra.edgeCapacity = merge.resolveDouble(
-            "--edge-capacity", "infra.edge_capacity",
-            infraSpec.edgeCapacity, fleet.infra.edgeCapacity);
-        fleet.infra.wifiCapacity = merge.resolveDouble(
-            "--wifi-capacity", "infra.wifi_capacity",
-            infraSpec.wifiCapacity, fleet.infra.wifiCapacity);
-        fleet.infra.contention = merge.resolveDouble(
-            "--contention", "infra.contention", infraSpec.contention,
-            fleet.infra.contention);
-        fleet.infra.brownoutPeriodMs = merge.resolveDouble(
-            "--brownout-period-ms", "infra.brownout_period_ms",
-            infraSpec.brownoutPeriodMs, fleet.infra.brownoutPeriodMs);
-        fleet.infra.brownoutDurationMs = merge.resolveDouble(
-            "--brownout-ms", "infra.brownout_ms",
-            infraSpec.brownoutDurationMs, fleet.infra.brownoutDurationMs);
-        fleet.infra.brownoutSlowdown = merge.resolveDouble(
-            "--brownout-slowdown", "infra.brownout_slowdown",
-            infraSpec.brownoutSlowdown, fleet.infra.brownoutSlowdown);
-        fleet.infra.outagePeriodMs = merge.resolveDouble(
-            "--outage-period-ms", "infra.outage_period_ms",
-            infraSpec.outagePeriodMs, fleet.infra.outagePeriodMs);
-        fleet.infra.outageDurationMs = merge.resolveDouble(
-            "--outage-ms", "infra.outage_ms",
-            infraSpec.outageDurationMs, fleet.infra.outageDurationMs);
-        if (fleet.infra.outagePeriodMs < 0.0
-            || fleet.infra.outageDurationMs < 0.0) {
-            fatal("--outage-period-ms/--outage-ms must be >= 0");
-        }
-        if (fleet.infra.outagePeriodMs > 0.0
-            && fleet.infra.outageDurationMs > fleet.infra.outagePeriodMs) {
-            fatal("--outage-ms must not exceed --outage-period-ms");
-        }
-
-        // Churn schedule (DESIGN.md §17). ChurnProcess re-validates,
-        // but the CLI fatals first so the message names the flag.
-        const serve::ChurnConfig churnSpec =
-            spec != nullptr ? spec->churn : serve::ChurnConfig{};
-        fleet.churn.crashProb = merge.resolveDouble(
-            "--churn-crash-prob", "churn.crash_prob",
-            churnSpec.crashProb, fleet.churn.crashProb);
-        fleet.churn.leaveProb = merge.resolveDouble(
-            "--churn-leave-prob", "churn.leave_prob",
-            churnSpec.leaveProb, fleet.churn.leaveProb);
-        if (fleet.churn.crashProb < 0.0 || fleet.churn.crashProb > 1.0
-            || fleet.churn.leaveProb < 0.0 || fleet.churn.leaveProb > 1.0) {
-            fatal("--churn-crash-prob/--churn-leave-prob must be in [0, 1]");
-        }
-        if (fleet.churn.crashProb + fleet.churn.leaveProb > 1.0) {
-            fatal("--churn-crash-prob + --churn-leave-prob must not "
-                  "exceed 1");
-        }
-        fleet.churn.downEpochs = merge.resolveInt(
-            "--churn-down-epochs", "churn.down_epochs",
-            churnSpec.downEpochs, fleet.churn.downEpochs);
-        if (fleet.churn.downEpochs < 1) {
-            fatal("--churn-down-epochs must be >= 1");
-        }
-        fleet.churn.initialDevices = merge.resolveInt(
-            "--churn-initial-devices", "churn.initial_devices",
-            churnSpec.initialDevices, fleet.churn.initialDevices);
-        if (fleet.churn.initialDevices < 0
-            || fleet.churn.initialDevices > fleet.devices) {
-            fatal("--churn-initial-devices must be in [0, --fleet N]");
-        }
-        fleet.churn.joinEveryEpochs = merge.resolveInt(
-            "--churn-join-every", "churn.join_every_epochs",
-            churnSpec.joinEveryEpochs, fleet.churn.joinEveryEpochs);
-        if (fleet.churn.joinEveryEpochs < 1) {
-            fatal("--churn-join-every must be >= 1");
-        }
-
+        fleet.devices = spec.population;
+        fleet.shards = flags.integer("--shards", fleet.shards);
+        fleet.jobs = flags.integer("--jobs", 0);
+        fleet.qMode = serve::qTableModeFromName(spec.fleet.qMode);
+        fleet.federatedMergeEpochs = spec.fleet.mergeEpochs;
+        fleet.epochMs = spec.fleet.epochMs;
+        fleet.infra = spec.infra;
+        fleet.churn = spec.churn;
         // Fleet checkpointing: serve.checkpointPath/resume carry over
         // verbatim; runFleet interprets them as the epoch-barrier
         // manifest (fleet_checkpoint.h), not a per-request checkpoint.
-        fleet.checkpointEveryEpochs = strictInt(
-            args, "--checkpoint-every", fleet.checkpointEveryEpochs);
-        if (fleet.checkpointEveryEpochs < 1) {
-            fatal("--checkpoint-every must be >= 1");
-        }
-        if (args.has("--checkpoint-every")
-            && config.checkpointPath.empty()) {
-            fatal("--checkpoint-every requires --checkpoint FILE");
-        }
-        fleet.haltAfterEpochs = strictInt(
-            args, "--halt-after-epochs", fleet.haltAfterEpochs);
-        if (args.has("--halt-after-epochs")) {
-            if (fleet.haltAfterEpochs < 1) {
-                fatal("--halt-after-epochs must be >= 1");
-            }
-            if (config.checkpointPath.empty()) {
-                fatal("--halt-after-epochs requires --checkpoint FILE");
-            }
-        }
-        const std::string qtableOut = args.get("--fleet-qtable-out");
+        fleet.checkpointEveryEpochs =
+            flags.integer("--checkpoint-every", fleet.checkpointEveryEpochs);
+        fleet.haltAfterEpochs =
+            flags.integer("--halt-after-epochs", fleet.haltAfterEpochs);
+        const std::string qtableOut = flags.args.get("--fleet-qtable-out");
         fleet.collectQTables = !qtableOut.empty();
-        fleet.reportMemory = args.has("--fleet-memory");
+        fleet.reportMemory = flags.args.has("--fleet-memory");
 
-        if (spec != nullptr) {
-            std::cout << "Scenario: " << spec->name << " ("
-                      << scenarioFileBase(spec->sourceFile) << ")\n";
-        }
         std::cout << "Serving fleet of " << fleet.devices << " devices ("
                   << config.totalRequests << " arrivals each) on "
                   << sim.localDevice().name() << ", scenario "
@@ -1109,10 +1156,6 @@ cmdServe(const Args &args)
         return 0;
     }
 
-    if (spec != nullptr) {
-        std::cout << "Scenario: " << spec->name << " ("
-                  << scenarioFileBase(spec->sourceFile) << ")\n";
-    }
     std::cout << "Serving " << config.totalRequests << " arrivals on "
               << sim.localDevice().name() << ", scenario "
               << env::scenarioName(config.scenario) << ", rate "
@@ -1131,106 +1174,62 @@ cmdServe(const Args &args)
     return 0;
 }
 
+/** Comma-separated names of the commands in @p bits. */
+std::string
+commandNames(unsigned bits)
+{
+    std::string names;
+    for (const CommandInfo &info : kCommands) {
+        if ((bits & info.bit) != 0) {
+            names += names.empty() ? "" : ", ";
+            names += info.name;
+        }
+    }
+    return names;
+}
+
+/** Usage, generated from the command and flag tables. */
 int
 usage()
 {
+    const auto column = [](std::string text) {
+        text.resize(std::max<std::size_t>(text.size() + 1, 32), ' ');
+        return text;
+    };
+    std::cout << "autoscale_cli — AutoScale (MICRO 2020) reproduction CLI\n"
+                 "\nUsage: autoscale_cli COMMAND [--flag VALUE]...\n"
+                 "\nCommands:\n";
+    for (const CommandInfo &info : kCommands) {
+        std::cout << column("  " + std::string(info.name)) << info.help
+                  << "\n";
+    }
+    std::cout << "\nFlags (commands that accept them; [scenario key]):\n";
+    for (const FlagRow &row : flagTable()) {
+        std::string scope = commandNames(row.commands);
+        if (row.mode != Mode::Any) {
+            scope += row.mode == Mode::Fleet ? "; fleets only"
+                                             : "; single device only";
+        }
+        if (*row.constraint != '\0') {
+            scope += std::string("; ") + row.constraint;
+        }
+        if (*row.needs != '\0') {
+            scope += std::string("; needs ") + row.needs;
+        }
+        if (*row.key != '\0') {
+            scope += std::string(" [") + row.key + "]";
+        }
+        std::cout << column("  " + std::string(row.flag) + " " + row.metavar)
+                  << row.help << "\n"
+                  << column("") << scope << "\n";
+    }
     std::cout <<
-        "autoscale_cli — AutoScale (MICRO 2020) reproduction CLI\n\n"
-        "Commands:\n"
-        "  devices                      list the device fleet\n"
-        "  workloads                    list the Table III workloads\n"
-        "  characterize --device D      optimal target per workload\n"
-        "  decide --device D --network N [--co-cpu F] [--co-mem F]\n"
-        "         [--rssi-wlan DBM] [--rssi-p2p DBM] [--accuracy PCT]\n"
-        "         [--top K]             rank execution targets\n"
-        "  train --device D [--scenarios S1,S2,...] [--runs N]\n"
-        "        [--seed N] [--out FILE]\n"
-        "  evaluate --device D [--qtable FILE] [--scenarios ...]\n"
-        "           [--runs N] [--train-runs N] [--jobs N] [--csv]\n"
-        "  loo --device D [--scenarios ...] [--runs N] [--train-runs N]\n"
-        "      [--warmup N] [--seed N] [--jobs N] [--csv]\n"
-        "  serve --device D [--scenario S] [--requests N]\n"
-        "        [--rate-x F | --rate-hz F] [--burst-period-ms F]\n"
-        "        [--burst-ms F] [--burst-mult F] [--queue-depth N]\n"
-        "        [--degrade-depth N] [--breaker on|off]\n"
-        "        [--breaker-open-ms F] [--breaker-probe-successes N]\n"
-        "        [--checkpoint FILE] [--checkpoint-interval N] [--resume]\n"
-        "        [--qtable FILE] [--train-runs N] [--network NAME]\n"
-        "        [--policy autoscale|cloud|connected-edge|edge-best|\n"
-        "         edge-cpu]\n"
-        "        [--batch N]           decision-path batch size, >= 1\n"
-        "                              (default 64; every value produces\n"
-        "                              byte-identical output)\n"
-        "        [--seed N]            online serving loop: stochastic\n"
-        "                              arrivals, admission control,\n"
-        "                              circuit breakers, crash-safe\n"
-        "                              Q-table checkpoints\n"
-        "  serve --fleet N              fleet mode: N devices contending\n"
-        "        [--shards N]          work partitions (output-invariant,\n"
-        "                              default 4)\n"
-        "        [--jobs N]            worker threads\n"
-        "        [--q-mode per-device|shared|federated]\n"
-        "        [--merge-epochs N]    federated merge period (default 8)\n"
-        "        [--epoch-ms F]        contention barrier interval\n"
-        "                              (default 250)\n"
-        "        [--edge-capacity F]   shared edge slots (default 4)\n"
-        "        [--wifi-capacity F]   concurrent transfers before\n"
-        "                              congestion (default 8)\n"
-        "        [--contention F]      demand multiplier (default 1)\n"
-        "        [--brownout-period-ms F] [--brownout-ms F]\n"
-        "        [--brownout-slowdown F]  shared cloud brownout windows\n"
-        "        [--outage-period-ms F] [--outage-ms F]\n"
-        "                              edge-server outage windows\n"
-        "        [--churn-crash-prob P] [--churn-leave-prob P]\n"
-        "        [--churn-down-epochs N]  per-device per-epoch churn\n"
-        "        [--churn-initial-devices N] [--churn-join-every N]\n"
-        "                              staggered fleet ramp-up\n"
-        "        [--checkpoint FILE] [--checkpoint-every N] [--resume]\n"
-        "                              epoch-barrier fleet manifest +\n"
-        "                              checkpoint-verified replay resume\n"
-        "        [--halt-after-epochs N]  simulate a crash at a barrier\n"
-        "        [--fleet-qtable-out FILE] dump all final Q-tables\n"
-        "        [--fleet-memory]      report peak RSS and bytes/device\n"
-        "                              (and append a fleet_memory record\n"
-        "                              to a JSONL --trace)\n\n"
-        "Scenario files (train, evaluate, loo, serve):\n"
-        "  --scenario FILE              load a declarative .scn scenario\n"
-        "                               (on serve, a Table IV name S1-D4\n"
-        "                               keeps its classic meaning)\n"
-        "  --variant N                  pick one expansion of a file\n"
-        "                               with a [variant] sweep\n"
-        "  Flags override file values; a flag and a file key set to\n"
-        "  DIFFERENT values is a fatal conflict. Validate and expand\n"
-        "  files with the scenario_lint tool; library lives in\n"
-        "  scenarios/.\n\n"
-        "Fault injection (train, evaluate, loo, serve):\n"
-        "  --faults NAME                none (default), blackout,\n"
-        "                               flaky-wifi, or cloud-brownout\n"
-        "  --fault-seed N               fault-process RNG seed\n"
-        "  --timeout-ms F               per-attempt remote deadline\n"
-        "                               (default 300)\n"
-        "  --max-retries N              remote retries before the forced\n"
-        "                               local fallback (default 2)\n"
-        "  --backoff-ms F               idle gap before the first retry\n"
-        "                               (default 25)\n"
-        "  --backoff-mult F             backoff growth per retry\n"
-        "                               (default 2)\n\n"
-        "Observability (train, evaluate, loo, serve):\n"
-        "  --trace FILE                 record one structured event per\n"
-        "                               inference decision\n"
-        "  --trace-format jsonl|chrome  JSON Lines (default) or Chrome\n"
-        "                               about://tracing format\n"
-        "  --metrics FILE               dump counters/gauges/histograms\n"
-        "  (summarize JSONL traces with the trace_summary tool)\n\n"
-        "Devices: Mi8Pro, \"Galaxy S10e\", \"Moto X Force\"\n"
-        "Scenarios: S1-S5 (static), D1-D4 (dynamic), per Table IV\n"
-        "--direct: bypass the precomputed cost-model tables and walk\n"
-        "the layer model per decision (bit-identical results; exists\n"
-        "to prove it, and for bench_decision_path's perf gate).\n"
-        "--jobs N: worker threads (default: hardware concurrency).\n"
-        "Results — including --trace and --metrics files — are\n"
-        "bit-identical for every --jobs value; --jobs 1 runs fully\n"
-        "serial.\n";
+        "\nA command line is an inline scenario: a flag with a [key] sets\n"
+        "that key, is validated exactly like it in a .scn file, and may\n"
+        "restate but never contradict a --scenario file. Validate and\n"
+        "expand files with scenario_lint; the library lives in\n"
+        "scenarios/. Results, including --trace and --metrics files, are\n"
+        "identical for every --jobs value.\n";
     return 2;
 }
 
@@ -1239,43 +1238,26 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
+    const CommandInfo *command = nullptr;
+    for (const CommandInfo &info : kCommands) {
+        if (argc >= 2 && std::string(argv[1]) == info.name) {
+            command = &info;
+        }
+    }
+    if (command == nullptr) {
         return usage();
     }
     const Args args(argc, argv);
-    // Repeated flags resolve last-one-wins, but a CONFLICTING repeat of
-    // a determinism-critical flag is fatal: silently dropping one value
-    // would change which run the user thinks they reproduced.
-    for (const char *flag : {"--jobs", "--seed", "--seeds"}) {
-        if (args.hasConflictingDuplicate(flag)) {
-            fatal(std::string(flag)
-                  + " given multiple times with conflicting values");
-        }
-    }
-    const std::string command = argv[1];
-    if (command == "devices") {
-        return cmdDevices();
-    }
-    if (command == "workloads") {
-        return cmdWorkloads();
-    }
-    if (command == "characterize") {
-        return cmdCharacterize(args);
-    }
-    if (command == "decide") {
-        return cmdDecide(args);
-    }
-    if (command == "train") {
-        return cmdTrain(args);
-    }
-    if (command == "evaluate") {
-        return cmdEvaluate(args);
-    }
-    if (command == "loo") {
-        return cmdLoo(args);
-    }
-    if (command == "serve") {
-        return cmdServe(args);
+    const Flags flags = parseFlags(args, command->bit, command->name);
+    switch (command->bit) {
+      case kDevices: return cmdDevices();
+      case kWorkloads: return cmdWorkloads();
+      case kCharacterize: return cmdCharacterize(flags);
+      case kDecide: return cmdDecide(flags);
+      case kTrain: return cmdTrain(flags);
+      case kEvaluate: return cmdEvaluate(flags);
+      case kLoo: return cmdLoo(flags);
+      case kServe: return cmdServe(flags);
     }
     return usage();
 }
