@@ -16,6 +16,17 @@
  * aggregate stats, and --check fails unless it completes under
  * --memory-budget bytes/device (default 4096; measured ~2.2 KB).
  *
+ * Learner-fleet memory gate (DESIGN.md §18): 10,000 federated
+ * AutoScale learners, warm-started from device 0's trained table, serve
+ * 20 requests each with merges every 8 epochs; --check fails unless the
+ * peak RSS delta stays at or under 64 KB per device (a dense Q-table
+ * and visit array alone were ~1.2 MB). A second row runs 2,000
+ * learners through a long churning run (450 requests each, 3% crash
+ * and 3% leave probability per device and epoch, merges every 2
+ * epochs) under the same budget, so learners that miss merges must
+ * not pile up private rows. Each fleet runs in a forked child before
+ * anything else, so its peak RSS is its own.
+ *
  * Learner-merge gate (DESIGN.md §15): 256 AutoScale learners each
  * serve 150 decisions, then mergeQTablesVisitWeighted runs 5 times;
  * --check fails when the median merge takes more than 25 ms. The merge
@@ -30,7 +41,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common.h"
 #include "core/scheduler.h"
@@ -236,6 +252,167 @@ memoryGateJson(const MemoryGate &gate)
         + (gate.completed ? "true" : "false") + "}";
 }
 
+/**
+ * One learner-fleet memory row: a federated AutoScale fleet, at most
+ * kBudgetBytes of peak-RSS delta per device.
+ */
+struct LearnerMemorySpec {
+    static constexpr double kBudgetBytes = 64.0 * 1024.0;
+
+    const char *name;
+    int devices;
+    std::int64_t requests;
+    /** Per-device per-epoch crash and leave probability each; 0: none. */
+    double churnProb;
+    int mergeEpochs;
+};
+
+/** 10,000 learners, a short run, no churn. */
+constexpr LearnerMemorySpec kLearnerFleet{"federated", 10000, 20, 0.0, 8};
+
+/**
+ * 2,000 learners through a long churning run: devices crash and leave
+ * every epoch, so most merges include learners that missed an earlier
+ * one.
+ */
+constexpr LearnerMemorySpec kChurningLearnerFleet{"federated-churn", 2000,
+                                                  450, 0.03, 2};
+
+/** A learner-fleet memory row's result. */
+struct LearnerMemoryGate {
+    std::int64_t arrivals = 0;
+    std::int64_t served = 0;
+    std::int64_t epochs = 0;
+    std::int64_t churnEvents = 0;
+    double seconds = 0.0;
+    std::uint64_t peakRssBytes = 0;
+    double bytesPerDevice = 0.0;
+    bool completed = false;
+
+    bool
+    withinBudget() const
+    {
+        return completed && bytesPerDevice > 0.0
+            && bytesPerDevice <= LearnerMemorySpec::kBudgetBytes;
+    }
+};
+
+LearnerMemoryGate
+measureLearnerMemory(const LearnerMemorySpec &spec, std::uint64_t seed)
+{
+    const sim::InferenceSimulator sim =
+        sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
+    serve::FleetConfig fleet =
+        fleetConfig(spec.devices, 1.0, spec.requests, seed, 4);
+    fleet.serve.policyName = "autoscale";
+    fleet.serve.trainRunsPerCombo = 5;
+    fleet.serve.arrival.ratePerSec *= 0.5; // 1x nominal load
+    fleet.qMode = serve::QTableMode::Federated;
+    fleet.federatedMergeEpochs = spec.mergeEpochs;
+    fleet.churn.crashProb = spec.churnProb;
+    fleet.churn.leaveProb = spec.churnProb;
+    fleet.infra.edgeCapacity = 2.0 * spec.devices;
+    fleet.infra.wifiCapacity = 2.0 * spec.devices;
+    fleet.aggregateStats = true;
+    fleet.reportMemory = true;
+
+    LearnerMemoryGate gate;
+    const double start = now();
+    const serve::FleetStats stats = serve::runFleet(sim, fleet, {});
+    gate.seconds = now() - start;
+    gate.arrivals = stats.totalArrivals();
+    gate.served = stats.totalServed();
+    gate.epochs = stats.epochs;
+    gate.churnEvents = stats.churnCrashes + stats.churnLeaves;
+    gate.peakRssBytes = stats.peakRssBytes;
+    gate.bytesPerDevice = stats.bytesPerDevice;
+    gate.completed = gate.arrivals
+        == static_cast<std::int64_t>(spec.devices) * spec.requests;
+    return gate;
+}
+
+/**
+ * measureLearnerMemory in a forked child: a child's peak RSS starts at
+ * its own size, so the learner fleet's peak is not hidden behind (or
+ * left in front of) anything this process ran or runs later. The
+ * result comes back as raw bytes over a pipe; a failed child reads as
+ * an incomplete run.
+ */
+LearnerMemoryGate
+runLearnerMemoryGate(const LearnerMemorySpec &spec, std::uint64_t seed)
+{
+    int fds[2];
+    if (::pipe(fds) != 0) {
+        return {};
+    }
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        const LearnerMemoryGate gate = measureLearnerMemory(spec, seed);
+        const bool ok =
+            ::write(fds[1], &gate, sizeof(gate))
+            == static_cast<ssize_t>(sizeof(gate));
+        ::_exit(ok ? 0 : 1);
+    }
+    ::close(fds[1]);
+    LearnerMemoryGate gate;
+    if (pid < 0
+        || ::read(fds[0], &gate, sizeof(gate))
+            != static_cast<ssize_t>(sizeof(gate))) {
+        gate = {};
+    }
+    ::close(fds[0]);
+    if (pid > 0) {
+        int status = 0;
+        ::waitpid(pid, &status, 0);
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+            gate = {};
+        }
+    }
+    return gate;
+}
+
+std::string
+learnerMemoryGateJson(const LearnerMemorySpec &spec,
+                      const LearnerMemoryGate &gate)
+{
+    return std::string("{\"devices\":") + std::to_string(spec.devices)
+        + ",\"q_mode\":\"federated\",\"requests_per_device\":"
+        + std::to_string(spec.requests) + ",\"merge_epochs\":"
+        + std::to_string(spec.mergeEpochs) + ",\"churn_crash_prob\":"
+        + obs::jsonNumber(spec.churnProb) + ",\"churn_leave_prob\":"
+        + obs::jsonNumber(spec.churnProb)
+        + ",\"arrivals\":" + std::to_string(gate.arrivals)
+        + ",\"served\":" + std::to_string(gate.served)
+        + ",\"epochs\":" + std::to_string(gate.epochs)
+        + ",\"churn_events\":" + std::to_string(gate.churnEvents)
+        + ",\"seconds\":" + obs::jsonNumber(gate.seconds)
+        + ",\"peak_rss_bytes\":" + std::to_string(gate.peakRssBytes)
+        + ",\"bytes_per_device\":" + obs::jsonNumber(gate.bytesPerDevice)
+        + ",\"budget_bytes_per_device\":"
+        + obs::jsonNumber(LearnerMemorySpec::kBudgetBytes)
+        + ",\"within_budget\":" + (gate.withinBudget() ? "true" : "false")
+        + ",\"completed\":" + (gate.completed ? "true" : "false") + "}";
+}
+
+/** Print one learner-fleet memory row. */
+void
+printLearnerMemoryGate(const LearnerMemorySpec &spec,
+                       const LearnerMemoryGate &gate)
+{
+    std::cout << "learner memory (" << spec.name << "): " << spec.devices
+              << " learners, " << gate.epochs << " epochs, "
+              << gate.churnEvents << " crashes/leaves, peak "
+              << Table::num(static_cast<double>(gate.peakRssBytes)
+                                / (1024.0 * 1024.0),
+                            0)
+              << " MiB, " << Table::num(gate.bytesPerDevice, 0)
+              << " bytes/device (budget "
+              << Table::num(LearnerMemorySpec::kBudgetBytes, 0) << ") in "
+              << Table::num(gate.seconds, 2) << " s — "
+              << (gate.withinBudget() ? "ok" : "FAIL") << "\n";
+}
+
 /** The federated learner-merge gate's result. */
 struct MergeGate {
     static constexpr int kLearners = 256;
@@ -430,9 +607,21 @@ main(int argc, char **argv)
     bench::printHeader(
         "Fleet serving: device-steps/sec vs fleet size and contention",
         "Gates: memory budget at " + std::to_string(memoryDevices)
-            + " devices; 1000-device 2x-contention fleet completes; "
+            + " devices; <= 64 KB/device at 10000 federated learners "
+              "and at 2000 churning ones; "
+              "1000-device 2x-contention fleet completes; "
               "checksum bit-equal across shard counts; median "
               "256-learner merge <= 25 ms");
+
+    // Each learner fleet runs in its own child, before this process
+    // grows: a child that inherited a large, partly free heap could
+    // reuse it without its RSS growing.
+    const LearnerMemoryGate learnerGate =
+        runLearnerMemoryGate(kLearnerFleet, seed);
+    printLearnerMemoryGate(kLearnerFleet, learnerGate);
+    const LearnerMemoryGate churnGate =
+        runLearnerMemoryGate(kChurningLearnerFleet, seed);
+    printLearnerMemoryGate(kChurningLearnerFleet, churnGate);
 
     // Memory gate first: peak RSS (VmHWM) is monotone, so the
     // million-device footprint is only attributable while nothing
@@ -498,6 +687,10 @@ main(int argc, char **argv)
          << ",\"completed\":" << (completed ? "true" : "false")
          << ",\"checksums_agree\":" << (checksumsAgree ? "true" : "false")
          << "},\"memory_gate\":" << memoryGateJson(memGate)
+         << ",\"learner_memory_gate\":"
+         << learnerMemoryGateJson(kLearnerFleet, learnerGate)
+         << ",\"learner_churn_memory_gate\":"
+         << learnerMemoryGateJson(kChurningLearnerFleet, churnGate)
          << ",\"merge_gate\":" << mergeGateJson(mergeGate) << "}\n";
     std::cout << "Wrote " << out << "\n";
 
@@ -522,6 +715,23 @@ main(int argc, char **argv)
                       << " bytes/device exceeds budget "
                       << Table::num(memGate.budgetBytes, 0) << "\n";
             return 1;
+        }
+        for (const auto &[spec, gate] :
+             {std::pair{&kLearnerFleet, &learnerGate},
+              std::pair{&kChurningLearnerFleet, &churnGate}}) {
+            if (!gate->withinBudget()) {
+                std::cerr << "FAIL: learner memory gate (" << spec->name
+                          << ") "
+                          << (gate->completed
+                                  ? Table::num(gate->bytesPerDevice, 0)
+                                      + " bytes/device exceeds budget "
+                                      + Table::num(
+                                          LearnerMemorySpec::kBudgetBytes,
+                                          0)
+                                  : std::string("fleet did not complete"))
+                          << "\n";
+                return 1;
+            }
         }
         if (!mergeGate.withinBudget()) {
             std::cerr << "FAIL: median learner merge "

@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "util/logging.h"
+#include "util/rng_jump.h"
 
 namespace autoscale::core {
+
+namespace {
+
+/**
+ * The jump over @p draws generator steps, built once per step count:
+ * building one costs milliseconds, applying it a few hundred XORs.
+ */
+const util::RngJump &
+randomizeJump(std::uint64_t draws)
+{
+    static std::mutex mutex;
+    static std::map<std::uint64_t, std::unique_ptr<util::RngJump>> jumps;
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<util::RngJump> &jump = jumps[draws];
+    if (!jump) {
+        jump = std::make_unique<util::RngJump>(draws);
+    }
+    return *jump;
+}
+
+} // namespace
 
 ConvergenceTracker::ConvergenceTracker(int window, double tolerance)
     : window_(window), tolerance_(tolerance)
@@ -78,10 +104,26 @@ ConvergenceTracker::converged() const
 
 QLearningAgent::QLearningAgent(int numStates, int numActions,
                                const QLearningConfig &config, Rng rng)
-    : config_(config), table_(numStates, numActions), rng_(rng),
-      visits_(static_cast<std::size_t>(numStates)
-                  * static_cast<std::size_t>(numActions),
-              0)
+    : config_(config), table_(numStates, numActions), rng_(rng)
+{
+    checkConfig();
+    // Algorithm 1: "Initialize Q(S,A) as random values". Optimistic
+    // positive initialization also encourages trying untried actions.
+    table_.randomize(rng_, config_.initLow, config_.initHigh);
+}
+
+QLearningAgent::QLearningAgent(const QTable &initial,
+                               const QLearningConfig &config, Rng rng)
+    : config_(config), table_(initial), rng_(rng)
+{
+    checkConfig();
+    randomizeJump(static_cast<std::uint64_t>(table_.numStates())
+                  * static_cast<std::uint64_t>(table_.numActions()))
+        .apply(rng_);
+}
+
+void
+QLearningAgent::checkConfig() const
 {
     AS_CHECK(config_.epsilon >= 0.0 && config_.epsilon <= 1.0);
     AS_CHECK(config_.learningRate > 0.0 && config_.learningRate <= 1.0);
@@ -89,9 +131,6 @@ QLearningAgent::QLearningAgent(int numStates, int numActions,
     AS_CHECK(config_.visitDecay >= 0.0);
     AS_CHECK(config_.minLearningRate > 0.0
              && config_.minLearningRate <= config_.learningRate);
-    // Algorithm 1: "Initialize Q(S,A) as random values". Optimistic
-    // positive initialization also encourages trying untried actions.
-    table_.randomize(rng_, config_.initLow, config_.initHigh);
 }
 
 int
@@ -107,14 +146,28 @@ QLearningAgent::selectAction(int state)
     return table_.bestAction(state);
 }
 
+const std::uint16_t *
+QLearningAgent::visitRow(int state) const
+{
+    AS_CHECK(state >= 0 && state < table_.numStates());
+    if (visitSlot_.empty()) {
+        return nullptr;
+    }
+    const std::int32_t slot = visitSlot_[static_cast<std::size_t>(state)];
+    if (slot < 0) {
+        return nullptr;
+    }
+    return visits_.data()
+        + static_cast<std::size_t>(slot)
+            * static_cast<std::size_t>(table_.numActions());
+}
+
 int
 QLearningAgent::visitCount(int state, int action) const
 {
-    const std::size_t index = static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(table_.numActions())
-        + static_cast<std::size_t>(action);
-    AS_CHECK(index < visits_.size());
-    return visits_[index];
+    AS_CHECK(action >= 0 && action < table_.numActions());
+    const std::uint16_t *visits = visitRow(state);
+    return visits != nullptr ? visits[action] : 0;
 }
 
 double
@@ -126,6 +179,14 @@ QLearningAgent::effectiveLearningRate(int state, int action) const
     return std::max(decayed, config_.minLearningRate);
 }
 
+std::size_t
+QLearningAgent::ownedBytes() const
+{
+    return table_.ownedBytes() + visits_.capacity() * sizeof(std::uint16_t)
+        + visitSlot_.capacity() * sizeof(std::int32_t)
+        + visitedStates_.capacity() * sizeof(int);
+}
+
 void
 QLearningAgent::update(int state, int action, double reward, int nextState)
 {
@@ -134,23 +195,23 @@ QLearningAgent::update(int state, int action, double reward, int nextState)
         return;
     }
     const double rate = effectiveLearningRate(state, action);
-    const double old_q = table_.at(state, action);
+    const double old_q = std::as_const(table_).at(state, action);
+    if (visitSlot_.empty()) {
+        visitSlot_.assign(static_cast<std::size_t>(table_.numStates()), -1);
+    }
     const std::size_t numActions =
         static_cast<std::size_t>(table_.numActions());
-    const std::size_t rowStart = static_cast<std::size_t>(state) * numActions;
-    const std::size_t index = rowStart + static_cast<std::size_t>(action);
-    if (visits_[index] == 0) {
-        // A cell's count never returns to 0, so the row is new exactly
-        // when no cell in it has been visited before this one.
-        const auto row = visits_.begin()
-            + static_cast<std::ptrdiff_t>(rowStart);
-        if (std::all_of(row, row + static_cast<std::ptrdiff_t>(numActions),
-                        [](std::uint16_t v) { return v == 0; })) {
-            visitedStates_.push_back(state);
-        }
+    std::int32_t &slot = visitSlot_[static_cast<std::size_t>(state)];
+    if (slot < 0) {
+        slot = static_cast<std::int32_t>(visitedStates_.size());
+        visitedStates_.push_back(state);
+        visits_.resize(visits_.size() + numActions, 0);
     }
-    if (visits_[index] < 0xffff) {
-        ++visits_[index];
+    std::uint16_t &visits = visits_[static_cast<std::size_t>(slot)
+                                        * numActions
+                                    + static_cast<std::size_t>(action)];
+    if (visits < 0xffff) {
+        ++visits;
     }
     const double target = reward + config_.discount
         * table_.maxValue(nextState);

@@ -14,6 +14,7 @@
 #ifndef AUTOSCALE_CORE_AGENT_H_
 #define AUTOSCALE_CORE_AGENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -103,6 +104,15 @@ class QLearningAgent {
     QLearningAgent(int numStates, int numActions,
                    const QLearningConfig &config, Rng rng);
 
+    /**
+     * Warm start: share @p initial's values instead of drawing random
+     * ones. The generator is advanced by the numStates x numActions
+     * draws the random initialization would have consumed, so it ends
+     * where the constructor above leaves it.
+     */
+    QLearningAgent(const QTable &initial, const QLearningConfig &config,
+                   Rng rng);
+
     /** Epsilon-greedy action for @p state (Algorithm 1 selection). */
     int selectAction(int state);
 
@@ -142,6 +152,12 @@ class QLearningAgent {
     /** Number of learning updates applied to (state, action). */
     int visitCount(int state, int action) const;
 
+    /**
+     * Visit counts of every action of @p state, or nullptr when the
+     * state has none (counts are stored only for visited states).
+     */
+    const std::uint16_t *visitRow(int state) const;
+
     /** Effective learning rate the next update of (state, action) uses. */
     double effectiveLearningRate(int state, int action) const;
 
@@ -152,7 +168,19 @@ class QLearningAgent {
      */
     const std::vector<int> &visitedStates() const { return visitedStates_; }
 
+    /**
+     * Bytes of learning state this agent holds on its own: the Q-table's
+     * private rows and the visit counts. A shared Q-table base is not
+     * included (QTable::ownedBytes).
+     */
+    std::size_t ownedBytes() const;
+
+    /** The exploration generator, for determinism checks. */
+    const Rng &rng() const { return rng_; }
+
   private:
+    void checkConfig() const;
+
     QLearningConfig config_;
     QTable table_;
     Rng rng_;
@@ -162,8 +190,12 @@ class QLearningAgent {
     double lastTdError_ = 0.0;
     double lastUpdateDelta_ = 0.0;
     ConvergenceTracker convergence_;
-    std::vector<std::uint16_t> visits_;
+    /** Visited states in first-visit order; row k of visits_ is theirs. */
     std::vector<int> visitedStates_;
+    /** State -> row of visits_, -1 for none; empty until the first. */
+    std::vector<std::int32_t> visitSlot_;
+    /** Per-action visit counts, numActions per visited state. */
+    std::vector<std::uint16_t> visits_;
 };
 
 } // namespace autoscale::core

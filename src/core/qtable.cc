@@ -14,56 +14,129 @@
 namespace autoscale::core {
 
 QTable::QTable(int numStates, int numActions)
-    : numStates_(numStates), numActions_(numActions),
-      values_(static_cast<std::size_t>(numStates)
-                  * static_cast<std::size_t>(numActions),
-              0.0f)
+    : numStates_(numStates), numActions_(numActions)
 {
     AS_CHECK(numStates_ > 0 && numActions_ > 0);
+    base_ = std::make_shared<Base>(static_cast<std::size_t>(numStates)
+                                   * static_cast<std::size_t>(numActions));
+}
+
+QTable::QTable(const QTable &other)
+    : numStates_(other.numStates_), numActions_(other.numActions_),
+      slot_(other.slot_), privateStates_(other.privateStates_),
+      rows_(other.rows_)
+{
+    share(other.base_);
+}
+
+QTable &
+QTable::operator=(const QTable &other)
+{
+    if (this != &other) {
+        numStates_ = other.numStates_;
+        numActions_ = other.numActions_;
+        slot_ = other.slot_;
+        privateStates_ = other.privateStates_;
+        rows_ = other.rows_;
+        share(other.base_);
+    }
+    return *this;
+}
+
+void
+QTable::share(const std::shared_ptr<Base> &base)
+{
+    base->frozen.store(true, std::memory_order_relaxed);
+    base_ = base;
+}
+
+int
+QTable::checkedAction(int action) const
+{
+    AS_CHECK(action >= 0 && action < numActions_);
+    return action;
 }
 
 std::size_t
-QTable::index(int state, int action) const
+QTable::rowOffset(int state) const
 {
     AS_CHECK(state >= 0 && state < numStates_);
-    AS_CHECK(action >= 0 && action < numActions_);
     return static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(numActions_)
-        + static_cast<std::size_t>(action);
+        * static_cast<std::size_t>(numActions_);
 }
 
 void
 QTable::randomize(Rng &rng, double lo, double hi)
 {
     AS_CHECK(lo <= hi);
-    for (auto &value : values_) {
+    auto fresh = std::make_shared<Base>(
+        static_cast<std::size_t>(numStates_)
+        * static_cast<std::size_t>(numActions_));
+    for (auto &value : fresh->values) {
         value = static_cast<float>(rng.uniform(lo, hi));
     }
+    base_ = std::move(fresh);
+    slot_.clear();
+    privateStates_.clear();
+    rows_.clear();
+}
+
+std::int32_t
+QTable::slotOf(int state) const
+{
+    return slot_.empty() ? -1 : slot_[static_cast<std::size_t>(state)];
 }
 
 const float *
 QTable::row(int state) const
 {
-    AS_CHECK(state >= 0 && state < numStates_);
-    return values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
+    const std::size_t offset = rowOffset(state);
+    const std::int32_t slot = slotOf(state);
+    if (slot >= 0) {
+        return rows_.data()
+            + static_cast<std::size_t>(slot)
+                * static_cast<std::size_t>(numActions_);
+    }
+    return base_->values.data() + offset;
 }
 
 float *
 QTable::row(int state)
 {
-    AS_CHECK(state >= 0 && state < numStates_);
-    return values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
+    const std::size_t offset = rowOffset(state);
+    const std::int32_t slot = slotOf(state);
+    if (slot >= 0) {
+        return rows_.data()
+            + static_cast<std::size_t>(slot)
+                * static_cast<std::size_t>(numActions_);
+    }
+    if (!base_->frozen.load(std::memory_order_relaxed)) {
+        return base_->values.data() + offset;
+    }
+    return copyRow(state);
+}
+
+float *
+QTable::copyRow(int state)
+{
+    if (slot_.empty()) {
+        slot_.assign(static_cast<std::size_t>(numStates_), -1);
+    }
+    const std::size_t width = static_cast<std::size_t>(numActions_);
+    const std::size_t slot = privateStates_.size();
+    slot_[static_cast<std::size_t>(state)] =
+        static_cast<std::int32_t>(slot);
+    privateStates_.push_back(state);
+    const float *source = base_->values.data() + rowOffset(state);
+    rows_.insert(rows_.end(), source, source + width);
+    return rows_.data() + slot * width;
 }
 
 int
 QTable::bestAction(int state) const
 {
     // One bounds check for the whole row, then a raw scan: this runs
-    // once per decision and the per-cell index() checks dominated it.
+    // once per decision and per-cell bounds checks dominated it.
     const float *values = row(state);
     int best = 0;
     float best_value = values[0];
@@ -92,7 +165,96 @@ QTable::maxValue(int state) const
 std::size_t
 QTable::memoryBytes() const
 {
-    return values_.size() * sizeof(float);
+    return static_cast<std::size_t>(numStates_)
+        * static_cast<std::size_t>(numActions_) * sizeof(float);
+}
+
+std::size_t
+QTable::ownedBytes() const
+{
+    return rows_.capacity() * sizeof(float)
+        + slot_.capacity() * sizeof(std::int32_t)
+        + privateStates_.capacity() * sizeof(int);
+}
+
+QTable
+QTable::copyOfBase() const
+{
+    QTable copy(numStates_, numActions_);
+    copy.base_->values = base_->values;
+    return copy;
+}
+
+void
+QTable::rebase(const QTable &snapshot)
+{
+    AS_CHECK(snapshot.numStates_ == numStates_
+             && snapshot.numActions_ == numActions_);
+    AS_CHECK(snapshot.privateStates_.empty());
+    share(snapshot.base_);
+    // Compact in slot order: a row that matches the new base bit for
+    // bit is dropped, the rest move down.
+    const std::size_t width = static_cast<std::size_t>(numActions_);
+    std::size_t kept = 0;
+    for (std::size_t slot = 0; slot < privateStates_.size(); ++slot) {
+        const int state = privateStates_[slot];
+        const float *values = rows_.data() + slot * width;
+        if (std::memcmp(values, base_->values.data() + rowOffset(state),
+                        width * sizeof(float))
+            == 0) {
+            slot_[static_cast<std::size_t>(state)] = -1;
+            continue;
+        }
+        if (kept != slot) {
+            std::memmove(rows_.data() + kept * width, values,
+                         width * sizeof(float));
+        }
+        privateStates_[kept] = state;
+        slot_[static_cast<std::size_t>(state)] =
+            static_cast<std::int32_t>(kept);
+        ++kept;
+    }
+    privateStates_.resize(kept);
+    rows_.resize(kept * width);
+    if (kept == 0) {
+        // Nothing private left: give the overlay's memory back.
+        slot_ = std::vector<std::int32_t>();
+        privateStates_ = std::vector<int>();
+        rows_ = std::vector<float>();
+    }
+}
+
+std::vector<int>
+QTable::baseRowsDifferingFrom(const QTable &snapshot) const
+{
+    AS_CHECK(snapshot.numStates_ == numStates_
+             && snapshot.numActions_ == numActions_);
+    const std::size_t width = static_cast<std::size_t>(numActions_);
+    std::vector<int> states;
+    for (int state = 0; state < numStates_; ++state) {
+        const std::size_t offset = rowOffset(state);
+        if (std::memcmp(base_->values.data() + offset,
+                        snapshot.base_->values.data() + offset,
+                        width * sizeof(float))
+            != 0) {
+            states.push_back(state);
+        }
+    }
+    return states;
+}
+
+void
+QTable::rebaseKeepingValues(const QTable &snapshot,
+                            const std::vector<int> &baseDiff)
+{
+    // Keep the differing base rows as private rows; every other row
+    // then equals snapshot's, which is what rebase expects.
+    for (const int state : baseDiff) {
+        if (slotOf(state) < 0) {
+            copyRow(state);
+        }
+    }
+    rebase(snapshot);
 }
 
 void
@@ -104,11 +266,12 @@ QTable::save(std::ostream &os) const
     os << numStates_ << ' ' << numActions_ << '\n';
     os << std::setprecision(9);
     for (int s = 0; s < numStates_; ++s) {
+        const float *values = row(s);
         for (int a = 0; a < numActions_; ++a) {
             if (a > 0) {
                 os << ' ';
             }
-            os << at(s, a);
+            os << values[a];
         }
         os << '\n';
     }

@@ -18,6 +18,25 @@ AutoScaleScheduler::AutoScaleScheduler(const sim::InferenceSimulator &sim,
 {
 }
 
+AutoScaleScheduler::AutoScaleScheduler(const sim::InferenceSimulator &sim,
+                                       const SchedulerConfig &config,
+                                       std::uint64_t seed,
+                                       const AutoScaleScheduler &warmStart)
+    : sim_(sim), config_(config), actions_(buildActionSpace(sim)),
+      agent_(warmStart.actions_ == actions_
+                     && warmStart.agent_.table().numStates()
+                         == config.encoder.numStates()
+                 ? QLearningAgent(warmStart.agent_.table(), config.rl,
+                                  Rng(seed))
+                 : QLearningAgent(config.encoder.numStates(),
+                                  static_cast<int>(actions_.size()),
+                                  config.rl, Rng(seed)))
+{
+    if (!agent_.table().sharesBaseWith(warmStart.agent_.table())) {
+        transferFrom(warmStart);
+    }
+}
+
 const sim::ExecutionTarget &
 AutoScaleScheduler::choose(const sim::InferenceRequest &request,
                            const env::EnvState &env)

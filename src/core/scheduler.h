@@ -56,6 +56,19 @@ class AutoScaleScheduler {
                        const SchedulerConfig &config, std::uint64_t seed);
 
     /**
+     * Warm start from an already-trained scheduler (fleet peers). When
+     * @p warmStart enumerates the same actions (hence the same
+     * actionFingerprint()) over the same state space, the agent shares
+     * its Q-table and skips the random initialization, jumping its
+     * generator past those draws instead. Otherwise this is the
+     * constructor above followed by transferFrom(warmStart). Either way
+     * the Q-values and the generator state are the same.
+     */
+    AutoScaleScheduler(const sim::InferenceSimulator &sim,
+                       const SchedulerConfig &config, std::uint64_t seed,
+                       const AutoScaleScheduler &warmStart);
+
+    /**
      * Steps 1-2 of Fig. 8: observe the state for the upcoming inference
      * and select the execution target. Also completes the pending
      * Algorithm 1 update of the previous inference, for which this
@@ -87,7 +100,10 @@ class AutoScaleScheduler {
     /** Learning updates on/off. */
     void setLearning(bool enabled);
 
-    /** Seed this scheduler's Q-table from one trained on @p other. */
+    /**
+     * Seed this scheduler's Q-table from one trained on @p other
+     * (transferQTable: actions matched across devices).
+     */
     void transferFrom(const AutoScaleScheduler &other);
 
     /**

@@ -9,6 +9,14 @@ AutoScalePolicy::AutoScalePolicy(const sim::InferenceSimulator &sim,
 {
 }
 
+AutoScalePolicy::AutoScalePolicy(const sim::InferenceSimulator &sim,
+                                 const core::SchedulerConfig &config,
+                                 std::uint64_t seed,
+                                 const core::AutoScaleScheduler &warmStart)
+    : name_("AutoScale"), scheduler_(sim, config, seed, warmStart)
+{
+}
+
 baselines::Decision
 AutoScalePolicy::decide(const sim::InferenceRequest &request,
                         const env::EnvState &env, Rng &)

@@ -23,6 +23,11 @@ class AutoScalePolicy : public baselines::SchedulingPolicy {
     AutoScalePolicy(const sim::InferenceSimulator &sim,
                     const core::SchedulerConfig &config, std::uint64_t seed);
 
+    /** Warm-started from @p warmStart (see core::AutoScaleScheduler). */
+    AutoScalePolicy(const sim::InferenceSimulator &sim,
+                    const core::SchedulerConfig &config, std::uint64_t seed,
+                    const core::AutoScaleScheduler &warmStart);
+
     const std::string &name() const override { return name_; }
 
     baselines::Decision decide(const sim::InferenceRequest &request,

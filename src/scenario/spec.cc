@@ -236,6 +236,13 @@ class Binder {
         diags_.error(file_, line(key), path(key) + " " + message);
     }
 
+    /** Error at @p key's line whose @p message names its keys itself. */
+    void
+    failAt(const char *key, const std::string &message)
+    {
+        diags_.error(file_, line(key), message);
+    }
+
   private:
     /** @p key's entry if present and of @p kind, else null. */
     const Entry *
@@ -699,9 +706,9 @@ bindChurn(Binder &binder, ScenarioSpec &spec)
     checkedNumber(binder, "leave_prob", 0.0, 1.0, "within [0, 1]",
                   &spec.churn.leaveProb);
     if (spec.churn.crashProb + spec.churn.leaveProb > 1.0) {
-        binder.failText("leave_prob",
-                        "churn.crash_prob + churn.leave_prob must not"
-                        " exceed 1");
+        binder.failAt("leave_prob",
+                      "churn.crash_prob + churn.leave_prob must not"
+                      " exceed 1");
     }
     checkedInteger(binder, "down_epochs", 1, 1000000, "within [1, 1e6]",
                    &spec.churn.downEpochs);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "baselines/fixed.h"
 #include "baselines/policy.h"
@@ -125,7 +126,12 @@ DeviceState::DeviceState(const DevicePlan &plan_in,
     // the breaker and shedding machinery to remote-heavy traffic), but
     // only the AutoScale learner has a Q-table to checkpoint. ---
     if (config().policyName.empty() || config().policyName == "autoscale") {
-        auto autoscale = harness::makeAutoScalePolicy(sim(), policySeed);
+        // A fleet peer shares device 0's trained table (copy-on-write)
+        // instead of training or loading its own.
+        auto autoscale = warmStart != nullptr
+            ? std::make_unique<harness::AutoScalePolicy>(
+                sim(), core::SchedulerConfig{}, policySeed, *warmStart)
+            : harness::makeAutoScalePolicy(sim(), policySeed);
         learner = autoscale.get();
         ownedPolicy = std::move(autoscale);
     } else if (config().policyName == "cloud") {
@@ -155,18 +161,14 @@ DeviceState::DeviceState(const DevicePlan &plan_in,
         manager = std::make_unique<CheckpointManager>(
             config().checkpointPath);
     }
-    if (learner != nullptr && warmStart != nullptr) {
-        // Fleet peer: device 0 already trained (or loaded) this table;
-        // copy it instead of repeating the work N times.
-        learner->scheduler().transferFrom(*warmStart);
-    } else {
+    if (learner == nullptr || warmStart == nullptr) {
         bool restored = false;
         if (config().resume) {
             if (!manager) {
                 fatal("serve: --resume requires --checkpoint");
             }
             core::AutoScaleScheduler &scheduler = learner->scheduler();
-            const CheckpointLoadResult recovery = manager->load();
+            CheckpointLoadResult recovery = manager->load();
             stats.corruptCheckpoints = recovery.corruptDetected;
             stats.resumeSource = recovery.source;
             if (recovery.loaded) {
@@ -188,7 +190,7 @@ DeviceState::DeviceState(const DevicePlan &plan_in,
                 // updates restart at the full learning rate. That only
                 // accelerates re-convergence toward the same steady
                 // state.
-                live = recovery.data.table;
+                live = std::move(recovery.data.table);
                 startStep = recovery.data.step;
                 stats.resumed = true;
                 stats.resumeStep = recovery.data.step;

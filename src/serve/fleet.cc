@@ -173,59 +173,142 @@ checkMergeShapes(const std::vector<core::AutoScaleScheduler *> &schedulers)
 }
 
 /**
- * Visit-weighted value of one cell across @p schedulers. Returns false
- * (leaving @p out untouched) when nobody has experience there.
- * Visits are uint16 and Q floats: each product is exact in double
- * (< 53 significant bits), so the single-contributor case divides a
- * product by its own integer factor and round-trips bitwise.
+ * The visit-weighted merge of every cell some learner visited: for
+ * each such cell, sum(visits_i * Q_i) / sum(visits_i).
  */
-bool
-visitWeightedCell(const std::vector<core::AutoScaleScheduler *> &schedulers,
-                  int state, int action, float *out)
+struct MergedRows {
+    /** Ascending union of the learners' visited states. */
+    std::vector<int> states;
+    /** State -> index into states, -1 when nobody visited it. */
+    std::vector<std::int32_t> rowOf;
+    /** Merged value per cell, rows in `states` order. */
+    std::vector<float> values;
+    /** Whether some learner visited the cell; others stay untouched. */
+    std::vector<char> visited;
+};
+
+/**
+ * Accumulate learner-major: each learner's visited rows are walked
+ * once through raw row and visit pointers. Every cell still sums its
+ * contributions in learner order, so each sum is the per-cell
+ * definition's (tests/test_fleet.cpp); learners without visits there
+ * add an exact zero and are skipped. Visits are uint16 and Q floats:
+ * each product is exact in double (< 53 significant bits), so a
+ * single contributor's cell divides a product by its own integer
+ * factor and round-trips bitwise.
+ */
+MergedRows
+mergeVisited(const std::vector<core::AutoScaleScheduler *> &schedulers)
 {
-    std::int64_t totalVisits = 0;
+    const core::QTable &shape = schedulers.front()->agent().table();
+    const std::size_t numActions =
+        static_cast<std::size_t>(shape.numActions());
+    MergedRows merged;
+    merged.rowOf.assign(static_cast<std::size_t>(shape.numStates()), -1);
     for (const core::AutoScaleScheduler *scheduler : schedulers) {
-        totalVisits += scheduler->agent().visitCount(state, action);
+        for (const int state : scheduler->agent().visitedStates()) {
+            merged.rowOf[static_cast<std::size_t>(state)] = 0;
+        }
     }
-    if (totalVisits == 0) {
-        return false;
+    for (int state = 0; state < shape.numStates(); ++state) {
+        std::int32_t &row = merged.rowOf[static_cast<std::size_t>(state)];
+        if (row == 0) {
+            row = static_cast<std::int32_t>(merged.states.size());
+            merged.states.push_back(state);
+        }
     }
-    double weighted = 0.0;
+
+    const std::size_t cells = merged.states.size() * numActions;
+    std::vector<double> weighted(cells, 0.0);
+    std::vector<std::int64_t> totals(cells, 0);
     for (const core::AutoScaleScheduler *scheduler : schedulers) {
-        weighted +=
-            static_cast<double>(scheduler->agent().visitCount(state,
-                                                              action))
-            * static_cast<double>(
-                scheduler->agent().table().at(state, action));
+        const core::QLearningAgent &agent = scheduler->agent();
+        for (const int state : agent.visitedStates()) {
+            const std::uint16_t *visits = agent.visitRow(state);
+            const float *q = agent.table().row(state);
+            const std::size_t offset =
+                static_cast<std::size_t>(
+                    merged.rowOf[static_cast<std::size_t>(state)])
+                * numActions;
+            double *w = weighted.data() + offset;
+            std::int64_t *total = totals.data() + offset;
+            for (std::size_t a = 0; a < numActions; ++a) {
+                if (visits[a] != 0) {
+                    total[a] += visits[a];
+                    w[a] += static_cast<double>(visits[a])
+                        * static_cast<double>(q[a]);
+                }
+            }
+        }
     }
-    *out = static_cast<float>(weighted
-                              / static_cast<double>(totalVisits));
-    return true;
+
+    merged.values.assign(cells, 0.0f);
+    merged.visited.assign(cells, 0);
+    for (std::size_t c = 0; c < cells; ++c) {
+        if (totals[c] != 0) {
+            merged.values[c] = static_cast<float>(
+                weighted[c] / static_cast<double>(totals[c]));
+            merged.visited[c] = 1;
+        }
+    }
+    return merged;
+}
+
+/** Write merged row @p index into @p values (numActions floats). */
+void
+writeMergedRow(const MergedRows &merged, std::size_t index, float *values,
+               std::size_t numActions)
+{
+    const float *source = merged.values.data() + index * numActions;
+    const char *visited = merged.visited.data() + index * numActions;
+    for (std::size_t a = 0; a < numActions; ++a) {
+        if (visited[a] != 0) {
+            values[a] = source[a];
+        }
+    }
+}
+
+/** Write every merged cell into @p table (copying rows as needed). */
+void
+writeMerged(const MergedRows &merged, core::QTable &table)
+{
+    const std::size_t numActions =
+        static_cast<std::size_t>(table.numActions());
+    for (std::size_t i = 0; i < merged.states.size(); ++i) {
+        writeMergedRow(merged, i, table.row(merged.states[i]), numActions);
+    }
 }
 
 /**
- * Ascending union of the schedulers' visited states. A cell outside
- * these rows has zero visits in every table, so visitWeightedCell
- * would report it unvisited: skipping those rows changes no output.
+ * Indices of the learners whose tables read the most common base:
+ * the Boyer-Moore majority candidate's group (exactly the majority
+ * when one exists), found with pairwise base comparisons alone.
  */
-std::vector<int>
-unionOfVisitedStates(
-    const std::vector<core::AutoScaleScheduler *> &schedulers)
+std::vector<std::size_t>
+largestBaseGroup(const std::vector<core::AutoScaleScheduler *> &schedulers)
 {
-    const int numStates = schedulers.front()->agent().table().numStates();
-    std::vector<char> seen(static_cast<std::size_t>(numStates), 0);
-    for (const core::AutoScaleScheduler *scheduler : schedulers) {
-        for (const int state : scheduler->agent().visitedStates()) {
-            seen[static_cast<std::size_t>(state)] = 1;
+    auto table = [&](std::size_t i) -> const core::QTable & {
+        return schedulers[i]->agent().table();
+    };
+    std::size_t candidate = 0;
+    std::size_t votes = 0;
+    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+        if (votes == 0) {
+            candidate = i;
+            votes = 1;
+        } else if (table(i).sharesBaseWith(table(candidate))) {
+            ++votes;
+        } else {
+            --votes;
         }
     }
-    std::vector<int> states;
-    for (int state = 0; state < numStates; ++state) {
-        if (seen[static_cast<std::size_t>(state)] != 0) {
-            states.push_back(state);
+    std::vector<std::size_t> group;
+    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+        if (table(i).sharesBaseWith(table(candidate))) {
+            group.push_back(i);
         }
     }
-    return states;
+    return group;
 }
 
 } // namespace
@@ -238,20 +321,76 @@ mergeQTablesVisitWeighted(
         return;
     }
     checkMergeShapes(schedulers);
-    const int numActions = schedulers.front()->agent().table().numActions();
-    for (const int state : unionOfVisitedStates(schedulers)) {
-        for (int action = 0; action < numActions; ++action) {
-            float merged = 0.0f;
-            if (!visitWeightedCell(schedulers, state, action, &merged)) {
-                // Nobody has experience here; leave every table's
-                // optimistic initialization untouched.
-                continue;
+    const MergedRows merged = mergeVisited(schedulers);
+    if (merged.states.empty()) {
+        return;
+    }
+    const std::size_t numActions = static_cast<std::size_t>(
+        schedulers.front()->agent().table().numActions());
+
+    // Learners that read one base take the merged snapshot as their new
+    // base: their merged rows come from it, and only a private row that
+    // still differs from it (a cell written outside the merge) stays.
+    std::vector<char> rebased(schedulers.size(), 0);
+    const std::vector<std::size_t> group = largestBaseGroup(schedulers);
+    std::optional<core::QTable> snapshot;
+    if (group.size() >= 2) {
+        snapshot = schedulers[group.front()]->agent().table().copyOfBase();
+        writeMerged(merged, *snapshot);
+        for (const std::size_t i : group) {
+            core::QTable &table =
+                schedulers[i]->mutableAgent().mutableTable();
+            for (const int state : table.privateStates()) {
+                const std::int32_t index =
+                    merged.rowOf[static_cast<std::size_t>(state)];
+                if (index >= 0) {
+                    writeMergedRow(merged, static_cast<std::size_t>(index),
+                                   table.row(state), numActions);
+                }
             }
-            for (core::AutoScaleScheduler *scheduler : schedulers) {
-                scheduler->mutableAgent().mutableTable().at(state, action) =
-                    merged;
-            }
+            table.rebase(*snapshot);
+            rebased[i] = 1;
         }
+    }
+    // Everyone else (a learner that missed an earlier merge, or tables
+    // that never shared a base) gets the merged cells written in, then
+    // moves onto the snapshot too, keeping private only the rows where
+    // it differs from it. Without that, a learner that missed one merge
+    // would copy every merged row at every later merge and keep them.
+    std::vector<std::size_t> others;
+    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+        if (rebased[i] == 0) {
+            writeMerged(merged,
+                        schedulers[i]->mutableAgent().mutableTable());
+            others.push_back(i);
+        }
+    }
+    if (!snapshot) {
+        return;
+    }
+    // One full base comparison per distinct base: learners that missed
+    // the same merge read the same old base. Every base is compared
+    // before any learner leaves it.
+    std::vector<std::size_t> firstOnBase;
+    std::vector<std::vector<int>> baseDiffs;
+    std::vector<std::size_t> baseOf;
+    for (const std::size_t i : others) {
+        const core::QTable &table = schedulers[i]->agent().table();
+        std::size_t b = 0;
+        while (b < firstOnBase.size()
+               && !table.sharesBaseWith(
+                   schedulers[firstOnBase[b]]->agent().table())) {
+            ++b;
+        }
+        if (b == firstOnBase.size()) {
+            firstOnBase.push_back(i);
+            baseDiffs.push_back(table.baseRowsDifferingFrom(*snapshot));
+        }
+        baseOf.push_back(b);
+    }
+    for (std::size_t k = 0; k < others.size(); ++k) {
+        schedulers[others[k]]->mutableAgent().mutableTable()
+            .rebaseKeepingValues(*snapshot, baseDiffs[baseOf[k]]);
     }
 }
 
@@ -262,16 +401,8 @@ mergedQTableSnapshot(
     AS_CHECK(!schedulers.empty());
     checkMergeShapes(schedulers);
     core::QTable merged = schedulers.front()->agent().table();
-    if (schedulers.size() < 2) {
-        return merged;
-    }
-    for (const int state : unionOfVisitedStates(schedulers)) {
-        for (int action = 0; action < merged.numActions(); ++action) {
-            float value = 0.0f;
-            if (visitWeightedCell(schedulers, state, action, &value)) {
-                merged.at(state, action) = value;
-            }
-        }
+    if (schedulers.size() >= 2) {
+        writeMerged(mergeVisited(schedulers), merged);
     }
     return merged;
 }

@@ -231,6 +231,14 @@ struct FleetStats {
  * rows in the union of the agents' visitedStates() are read, so a
  * merge costs O(visited states x actions x schedulers), not the
  * whole table.
+ *
+ * Copy-on-write layout (core::QTable): the learners that read the most
+ * common base get the merged snapshot as their new base and drop every
+ * private row it makes redundant, so a merged fleet holds one table
+ * plus what each learner writes afterwards. A learner on another base
+ * (one that missed a merge while offline) keeps its base and gets the
+ * merged cells written into private rows. Either way every value is
+ * the one the per-cell definition gives.
  */
 void mergeQTablesVisitWeighted(
     const std::vector<core::AutoScaleScheduler *> &schedulers);

@@ -6,16 +6,15 @@
  * Both `--flag value` and `--flag=value` spellings are accepted
  * everywhere: `=`-form tokens are split into flag/value pairs at
  * construction, so every accessor sees one canonical token stream.
- * Repeated value-carrying flags resolve last-one-wins (with a warning
- * on stderr); callers that must not silently drop a value can treat
- * hasConflictingDuplicate() as an error.
+ * Repeated value-carrying flags resolve last-one-wins; callers that
+ * must not silently drop a value treat hasConflictingDuplicate() as an
+ * error (autoscale_cli does).
  */
 
 #ifndef AUTOSCALE_UTIL_ARGS_H_
 #define AUTOSCALE_UTIL_ARGS_H_
 
 #include <cstdlib>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -226,31 +225,6 @@ class Args {
                 tokens_.push_back(token.substr(eq + 1));
             } else {
                 tokens_.push_back(std::move(token));
-            }
-        }
-        // Warn once per repeated value-carrying flag: the repeat is
-        // legal (last-one-wins) but usually a copy-paste mistake.
-        for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-            const std::string &flag = tokens_[i];
-            if (flag.size() <= 2 || flag[0] != '-' || flag[1] != '-') {
-                continue;
-            }
-            bool warned_earlier = false;
-            for (std::size_t j = 0; j < i; ++j) {
-                if (tokens_[j] == flag) {
-                    warned_earlier = true;
-                    break;
-                }
-            }
-            if (warned_earlier) {
-                continue;
-            }
-            for (std::size_t j = i + 1; j + 1 < tokens_.size(); ++j) {
-                if (tokens_[j] == flag) {
-                    std::cerr << "warning: repeated flag " << flag
-                              << "; the last value wins\n";
-                    break;
-                }
             }
         }
     }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -116,6 +117,67 @@ TEST(Agent, VisitedStatesListEachVisitedRowOnceInFirstVisitOrder)
         agent.update(s, 0, 1.0, s);
     }
     EXPECT_EQ(agent.visitedStates(), firstVisits);
+}
+
+TEST(Agent, VisitCountsAreStoredOnlyForVisitedStates)
+{
+    constexpr int kStates = 3072;
+    constexpr int kActions = 66;
+    QLearningAgent agent(kStates, kActions, paperConfig(), Rng(12));
+    EXPECT_EQ(agent.ownedBytes(), 0u);
+    EXPECT_EQ(agent.visitRow(5), nullptr);
+
+    for (int step = 0; step < 300; ++step) {
+        agent.update(100 + step % 3, step % kActions, -1.0, 100);
+    }
+    ASSERT_EQ(agent.visitedStates(), (std::vector<int>{100, 101, 102}));
+    EXPECT_EQ(agent.visitRow(5), nullptr);
+    ASSERT_NE(agent.visitRow(101), nullptr);
+    int total = 0;
+    for (int a = 0; a < kActions; ++a) {
+        EXPECT_EQ(agent.visitRow(101)[a], agent.visitCount(101, a));
+        total += agent.visitCount(101, a);
+    }
+    EXPECT_EQ(total, 100);
+    // Three rows of counts plus the state index, far below the dense
+    // 3072 x 66 uint16 array; the agent owns its table outright, so
+    // that adds nothing.
+    EXPECT_LT(agent.ownedBytes(), 16u * 1024u);
+    EXPECT_TRUE(agent.table().privateStates().empty());
+}
+
+TEST(Agent, WarmStartSharesTheTableAndSkipsTheRandomDraws)
+{
+    constexpr int kStates = 3072;
+    constexpr int kActions = 66;
+    QLearningAgent trained(kStates, kActions, paperConfig(), Rng(1));
+    for (int step = 0; step < 200; ++step) {
+        trained.update(step % 11, step % kActions, -2.0 + 0.01 * step,
+                       (step + 1) % 11);
+    }
+
+    // The reference: a randomized agent whose table is then overwritten.
+    QLearningAgent randomized(kStates, kActions, paperConfig(), Rng(77));
+    randomized.mutableTable() = trained.table();
+    QLearningAgent warm(trained.table(), paperConfig(), Rng(77));
+
+    EXPECT_TRUE(warm.table().sharesBaseWith(trained.table()));
+    std::uint64_t a[4];
+    std::uint64_t b[4];
+    randomized.rng().state(a);
+    warm.rng().state(b);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(a[i], b[i]);
+    }
+    // Same table and generator: the same decisions from here on.
+    for (int step = 0; step < 500; ++step) {
+        const int state = step % 13;
+        ASSERT_EQ(randomized.selectAction(state), warm.selectAction(state));
+        ASSERT_EQ(randomized.lastActionExplored(),
+                  warm.lastActionExplored());
+    }
+    EXPECT_TRUE(warm.visitedStates().empty());
+    EXPECT_EQ(warm.ownedBytes(), 0u);
 }
 
 TEST(Agent, GreedySelectionWithoutExploration)

@@ -89,9 +89,11 @@ TEST(Args, HasDetectsSwitches)
 
 TEST(Args, LastOccurrenceWins)
 {
-    // Repeated flags resolve last-one-wins (with a stderr warning);
-    // strict callers reject conflicts via hasConflictingDuplicate().
+    // Repeated flags resolve last-one-wins, silently; strict callers
+    // reject conflicts via hasConflictingDuplicate().
+    testing::internal::CaptureStderr();
     const Args args = make({"prog", "--seed", "1", "--seed", "2"});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
     EXPECT_EQ(args.getInt("--seed", 0), 2);
 }
 

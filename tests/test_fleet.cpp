@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -629,6 +632,384 @@ TEST(Fleet, SparseMergeMatchesDenseDefinition)
     mergeQTablesVisitWeighted(pointers(learners, everyone));
     denseMerge(pointers(reference, everyone));
     expectFleetsEqual("after the full merge");
+}
+
+// ---------------------------------------------------------------------
+// Copy-on-write learner tables (DESIGN.md §18): the fleet's operations
+// on CoW tables must give the values the dense definition gives.
+// ---------------------------------------------------------------------
+
+/**
+ * A learner as dense arrays: the full Q-table and visit counts, updated
+ * with Algorithm 1's arithmetic exactly as QLearningAgent::update does
+ * it, with no sharing of any kind.
+ */
+struct DenseLearner {
+    std::vector<float> q;
+    std::vector<std::uint16_t> visits;
+};
+
+DenseLearner
+denseOf(const core::AutoScaleScheduler &learner)
+{
+    const core::QTable &table = learner.agent().table();
+    DenseLearner dense;
+    for (int s = 0; s < table.numStates(); ++s) {
+        for (int a = 0; a < table.numActions(); ++a) {
+            dense.q.push_back(table.at(s, a));
+            dense.visits.push_back(static_cast<std::uint16_t>(
+                learner.agent().visitCount(s, a)));
+        }
+    }
+    return dense;
+}
+
+void
+denseUpdate(DenseLearner &dense, int numActions, int state, int action,
+            double reward, int next)
+{
+    const core::QLearningConfig config;
+    const std::size_t cell = static_cast<std::size_t>(state * numActions
+                                                      + action);
+    const double rate = std::max(
+        config.learningRate
+            / (1.0 + config.visitDecay
+                         * static_cast<double>(dense.visits[cell])),
+        config.minLearningRate);
+    const double old = dense.q[cell];
+    if (dense.visits[cell] < 0xffff) {
+        ++dense.visits[cell];
+    }
+    float best = dense.q[static_cast<std::size_t>(next * numActions)];
+    for (int a = 1; a < numActions; ++a) {
+        best = std::max(
+            best, dense.q[static_cast<std::size_t>(next * numActions + a)]);
+    }
+    const double target = reward + config.discount * best;
+    dense.q[cell] = static_cast<float>(old + rate * (target - old));
+}
+
+/** denseCell over dense learners: the per-cell merge definition. */
+bool
+denseLearnerCell(const std::vector<DenseLearner *> &learners,
+                 std::size_t cell, float *out)
+{
+    std::int64_t totalVisits = 0;
+    for (const DenseLearner *learner : learners) {
+        totalVisits += learner->visits[cell];
+    }
+    if (totalVisits == 0) {
+        return false;
+    }
+    double weighted = 0.0;
+    for (const DenseLearner *learner : learners) {
+        weighted += static_cast<double>(learner->visits[cell])
+            * static_cast<double>(learner->q[cell]);
+    }
+    *out = static_cast<float>(weighted / static_cast<double>(totalVisits));
+    return true;
+}
+
+/** Cells where @p learner and @p dense disagree (bits or visits). */
+int
+mismatchesAgainstDense(const core::AutoScaleScheduler &learner,
+                       const DenseLearner &dense)
+{
+    const core::QTable &table = learner.agent().table();
+    int mismatches = 0;
+    for (int s = 0; s < table.numStates(); ++s) {
+        const float *row = table.row(s);
+        for (int a = 0; a < table.numActions(); ++a) {
+            const std::size_t cell =
+                static_cast<std::size_t>(s * table.numActions() + a);
+            if (std::bit_cast<std::uint32_t>(row[a])
+                    != std::bit_cast<std::uint32_t>(dense.q[cell])
+                || learner.agent().visitCount(s, a) != dense.visits[cell]) {
+                ++mismatches;
+            }
+        }
+    }
+    return mismatches;
+}
+
+TEST(FleetCow, InterleavedOperationsMatchDenseReplay)
+{
+    // Seeded interleavings of the operations a fleet applies to its
+    // learners: updates, direct cell writes, copies, warm starts, and
+    // visit-weighted merges and snapshots over churn-style subsets.
+    // Learners 0-5 start on one shared base (5 warm-built from device
+    // 0), learners 6-7 on bases of their own.
+    const sim::InferenceSimulator &sim = testSim();
+    constexpr int kLearners = 8;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        std::vector<std::unique_ptr<core::AutoScaleScheduler>> learners;
+        learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+            sim, core::SchedulerConfig{}, 500 + seed));
+        for (int i = 1; i < kLearners; ++i) {
+            if (i < 6) {
+                learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+                    sim, core::SchedulerConfig{}, 600 + i, *learners[0]));
+            } else {
+                learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+                    sim, core::SchedulerConfig{}, 700 + i));
+            }
+        }
+        std::vector<DenseLearner> dense;
+        for (const auto &learner : learners) {
+            dense.push_back(denseOf(*learner));
+        }
+        const int numStates = learners[0]->agent().table().numStates();
+        const int numActions = learners[0]->agent().table().numActions();
+
+        Rng rng(seed);
+        auto pick = [&](int n) {
+            return static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(n)));
+        };
+        // States cluster in a window so learners' rows overlap.
+        auto pickState = [&]() { return 200 + pick(60); };
+        auto checkAll = [&](const char *stage, int op) {
+            for (int i = 0; i < kLearners; ++i) {
+                ASSERT_EQ(mismatchesAgainstDense(
+                              *learners[static_cast<std::size_t>(i)],
+                              dense[static_cast<std::size_t>(i)]),
+                          0)
+                    << stage << " seed " << seed << " op " << op
+                    << " learner " << i;
+            }
+        };
+        int merges = 0;
+        for (int op = 0; op < 400; ++op) {
+            const int kind = pick(100);
+            const int i = pick(kLearners);
+            const int j = pick(kLearners);
+            core::AutoScaleScheduler &learner =
+                *learners[static_cast<std::size_t>(i)];
+            DenseLearner &reference = dense[static_cast<std::size_t>(i)];
+            if (kind < 60) {
+                const int state = pickState();
+                const int next = pickState();
+                const int action = pick(numActions);
+                const double reward = rng.uniform(-30.0, 5.0);
+                learner.mutableAgent().update(state, action, reward, next);
+                denseUpdate(reference, numActions, state, action, reward,
+                            next);
+            } else if (kind < 68) {
+                // A write outside learning: the cell keeps zero visits.
+                const int state = pick(numStates);
+                const int action = pick(numActions);
+                const float value = static_cast<float>(rng.uniform(-9, 9));
+                learner.mutableAgent().mutableTable().at(state, action) =
+                    value;
+                reference.q[static_cast<std::size_t>(state * numActions
+                                                     + action)] = value;
+            } else if (kind < 74) {
+                if (i != j) {
+                    learners[static_cast<std::size_t>(i)] =
+                        std::make_unique<core::AutoScaleScheduler>(
+                            *learners[static_cast<std::size_t>(j)]);
+                    reference = dense[static_cast<std::size_t>(j)];
+                }
+            } else if (kind < 80) {
+                if (i != j) {
+                    learners[static_cast<std::size_t>(i)] =
+                        std::make_unique<core::AutoScaleScheduler>(
+                            sim, core::SchedulerConfig{}, 800 + op,
+                            *learners[static_cast<std::size_t>(j)]);
+                    reference.q = dense[static_cast<std::size_t>(j)].q;
+                    std::fill(reference.visits.begin(),
+                              reference.visits.end(), 0);
+                }
+            } else {
+                std::vector<int> present;
+                for (int k = 0; k < kLearners; ++k) {
+                    if (kind >= 95 || rng.bernoulli(0.7)) {
+                        present.push_back(k);
+                    }
+                }
+                std::vector<core::AutoScaleScheduler *> cow;
+                std::vector<DenseLearner *> flat;
+                for (const int k : present) {
+                    cow.push_back(learners[static_cast<std::size_t>(k)].get());
+                    flat.push_back(&dense[static_cast<std::size_t>(k)]);
+                }
+                if (present.empty()) {
+                    continue;
+                }
+                // The snapshot first: it must equal the dense one and
+                // leave every learner as it was.
+                const core::QTable snapshot = mergedQTableSnapshot(cow);
+                const std::size_t cells = flat.front()->q.size();
+                int snapshotMismatches = 0;
+                for (std::size_t cell = 0; cell < cells; ++cell) {
+                    float want = flat.front()->q[cell];
+                    if (flat.size() >= 2) {
+                        denseLearnerCell(flat, cell, &want);
+                    }
+                    const int s = static_cast<int>(cell) / numActions;
+                    const int a = static_cast<int>(cell) % numActions;
+                    if (std::bit_cast<std::uint32_t>(snapshot.at(s, a))
+                        != std::bit_cast<std::uint32_t>(want)) {
+                        ++snapshotMismatches;
+                    }
+                }
+                ASSERT_EQ(snapshotMismatches, 0)
+                    << "snapshot, seed " << seed << " op " << op;
+                mergeQTablesVisitWeighted(cow);
+                if (flat.size() >= 2) {
+                    for (std::size_t cell = 0; cell < cells; ++cell) {
+                        float merged = 0.0f;
+                        if (denseLearnerCell(flat, cell, &merged)) {
+                            for (DenseLearner *d : flat) {
+                                d->q[cell] = merged;
+                            }
+                        }
+                    }
+                }
+                ++merges;
+                checkAll("after merge", op);
+            }
+            if (op % 40 == 39) {
+                checkAll("periodic", op);
+            }
+        }
+        checkAll("final", 400);
+        EXPECT_GE(merges, 30) << "seed " << seed;
+    }
+}
+
+TEST(FleetCow, FederatedLearnersOwnOnlyTheRowsTheyWrite)
+{
+    // The learner-fleet memory envelope, counted in owned bytes rather
+    // than RSS so it holds under any allocator or sanitizer: after
+    // warm starts, learning and merges, a learner owns its visit counts
+    // and the rows it wrote since the last merge, and every learner
+    // that took the last merge reads one shared base.
+    const sim::InferenceSimulator &sim = testSim();
+    constexpr int kLearners = 1000;
+    constexpr int kSteps = 150;
+    constexpr int kMergeEvery = 50;
+    std::vector<std::unique_ptr<core::AutoScaleScheduler>> learners;
+    learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+        sim, core::SchedulerConfig{}, 1));
+    for (int i = 1; i < kLearners; ++i) {
+        learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+            sim, core::SchedulerConfig{}, 1000 + i, *learners[0]));
+    }
+    std::vector<core::AutoScaleScheduler *> all;
+    for (const auto &learner : learners) {
+        all.push_back(learner.get());
+    }
+    const int numActions = all[0]->agent().table().numActions();
+    auto ownedPerLearner = [&]() {
+        std::size_t owned = 0;
+        for (const core::AutoScaleScheduler *learner : all) {
+            owned += learner->agent().ownedBytes();
+        }
+        // Plus the one shared base, spread over the fleet.
+        return static_cast<double>(
+                   owned + all[0]->agent().table().memoryBytes())
+            / kLearners;
+    };
+    double peak = 0.0;
+    Rng rng(17);
+    for (int step = 1; step <= kSteps; ++step) {
+        for (core::AutoScaleScheduler *learner : all) {
+            // A handful of Table I states per learner, as in serving.
+            const int state = 300 + static_cast<int>(rng.uniformInt(24));
+            learner->mutableAgent().update(
+                state, static_cast<int>(rng.uniformInt(
+                           static_cast<std::uint64_t>(numActions))),
+                rng.uniform(-20.0, 0.0), state);
+        }
+        if (step % kMergeEvery == 0) {
+            peak = std::max(peak, ownedPerLearner());
+            mergeQTablesVisitWeighted(all);
+        }
+    }
+
+    for (const core::AutoScaleScheduler *learner : all) {
+        EXPECT_TRUE(learner->agent().table().sharesBaseWith(
+            all[0]->agent().table()));
+        EXPECT_TRUE(learner->agent().table().privateStates().empty());
+    }
+    // Between merges two 3072-entry state indices (12 KB each, private
+    // rows and visit counts) dominate; the dense layout held 1.2 MB
+    // per learner. A merge drops the private rows and their index.
+    EXPECT_LT(peak, 40.0 * 1024.0);
+    EXPECT_LT(ownedPerLearner(), 20.0 * 1024.0);
+}
+
+TEST(FleetCow, LearnerThatMissedAMergeRejoinsTheSharedBase)
+{
+    // A long churning run: each round a random fifth of the fleet is
+    // offline, learns nothing and misses the merge. After every merge
+    // each present learner, including one that missed earlier merges,
+    // reads the one merged base and owns exactly the rows where its
+    // values differ from that base, so no learner accumulates the rows
+    // of merges it missed.
+    const sim::InferenceSimulator &sim = testSim();
+    constexpr int kLearners = 40;
+    constexpr int kRounds = 30;
+    std::vector<std::unique_ptr<core::AutoScaleScheduler>> learners;
+    learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+        sim, core::SchedulerConfig{}, 3));
+    for (int i = 1; i < kLearners; ++i) {
+        learners.push_back(std::make_unique<core::AutoScaleScheduler>(
+            sim, core::SchedulerConfig{}, 3000 + i, *learners[0]));
+    }
+    const int numStates = learners[0]->agent().table().numStates();
+    const int numActions = learners[0]->agent().table().numActions();
+    const std::size_t rowBytes =
+        static_cast<std::size_t>(numActions) * sizeof(float);
+    Rng rng(23);
+    int stragglersChecked = 0;
+    std::vector<char> missedLast(kLearners, 0);
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<core::AutoScaleScheduler *> present;
+        std::vector<int> presentIds;
+        for (int i = 0; i < kLearners; ++i) {
+            if (!rng.bernoulli(0.8)) {
+                missedLast[static_cast<std::size_t>(i)] = 1;
+                continue;
+            }
+            core::AutoScaleScheduler &learner =
+                *learners[static_cast<std::size_t>(i)];
+            for (int step = 0; step < 4; ++step) {
+                const int state = 300 + static_cast<int>(rng.uniformInt(40));
+                learner.mutableAgent().update(
+                    state,
+                    static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(numActions))),
+                    rng.uniform(-20.0, 0.0), state);
+            }
+            present.push_back(&learner);
+            presentIds.push_back(i);
+        }
+        ASSERT_GE(present.size(), 2u);
+        mergeQTablesVisitWeighted(present);
+
+        const core::QTable base = present[0]->agent().table().copyOfBase();
+        for (std::size_t k = 0; k < present.size(); ++k) {
+            const core::QTable &table = present[k]->agent().table();
+            ASSERT_TRUE(table.sharesBaseWith(present[0]->agent().table()))
+                << "round " << round << " learner " << presentIds[k];
+            std::vector<int> differing;
+            for (int s = 0; s < numStates; ++s) {
+                if (std::memcmp(table.row(s), base.row(s), rowBytes) != 0) {
+                    differing.push_back(s);
+                }
+            }
+            std::vector<int> owned = table.privateStates();
+            std::sort(owned.begin(), owned.end());
+            ASSERT_EQ(owned, differing)
+                << "round " << round << " learner " << presentIds[k];
+            const std::size_t id = static_cast<std::size_t>(presentIds[k]);
+            stragglersChecked += missedLast[id];
+            missedLast[id] = 0;
+        }
+    }
+    EXPECT_GE(stragglersChecked, 50);
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,20 @@
 /**
  * @file
- * Tests for the dense Q-table: indexing, argmax, random initialization,
- * serialization, and the Section VI-C memory footprint.
+ * Tests for the Q-table: indexing, argmax, random initialization,
+ * serialization, the Section VI-C memory footprint, and the
+ * copy-on-write layout (shared bases, private rows, rebasing, and
+ * concurrent writers over one base).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <locale>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/qtable.h"
 #include "util/rng.h"
@@ -229,6 +235,248 @@ TEST(QTable, DimensionsReported)
     QTable table(3072, 66);
     EXPECT_EQ(table.numStates(), 3072);
     EXPECT_EQ(table.numActions(), 66);
+}
+
+// ---------------------------------------------------------------------
+// Copy-on-write layout (DESIGN.md §18).
+// ---------------------------------------------------------------------
+
+/** Cells whose float bit patterns differ between @p a and @p b. */
+int
+bitwiseMismatches(const QTable &a, const QTable &b)
+{
+    int mismatches = 0;
+    for (int s = 0; s < a.numStates(); ++s) {
+        for (int act = 0; act < a.numActions(); ++act) {
+            float x = a.at(s, act);
+            float y = b.at(s, act);
+            if (std::memcmp(&x, &y, sizeof(float)) != 0) {
+                ++mismatches;
+            }
+        }
+    }
+    return mismatches;
+}
+
+TEST(QTableCow, StandaloneTableWritesInPlace)
+{
+    // A table whose base was never shared owns it: writes land there
+    // and no private row is ever made.
+    QTable table(40, 6);
+    Rng rng(3);
+    table.randomize(rng, -1.0, 1.0);
+    for (int s = 0; s < 40; ++s) {
+        table.at(s, s % 6) = static_cast<float>(s);
+    }
+    EXPECT_TRUE(table.privateStates().empty());
+    EXPECT_EQ(table.ownedBytes(), 0u);
+    EXPECT_FLOAT_EQ(table.at(17, 5), 17.0f);
+}
+
+TEST(QTableCow, CopiesShareTheBaseAndOwnOnlyWrittenRows)
+{
+    QTable original(50, 8);
+    Rng rng(5);
+    original.randomize(rng, -3.0, 3.0);
+    const QTable pristine = original;
+    QTable copy = original;
+    EXPECT_TRUE(copy.sharesBaseWith(original));
+    EXPECT_EQ(copy.ownedBytes(), 0u);
+
+    copy.at(7, 2) = 42.0f;
+    copy.row(9)[0] = -42.0f;
+    copy.at(7, 3) = 43.0f; // same row: no second copy
+    EXPECT_EQ(copy.privateStates(), (std::vector<int>{7, 9}));
+    EXPECT_GT(copy.ownedBytes(), 0u);
+    EXPECT_LT(copy.ownedBytes(), original.memoryBytes());
+    EXPECT_FLOAT_EQ(copy.at(7, 2), 42.0f);
+    EXPECT_FLOAT_EQ(copy.at(7, 3), 43.0f);
+    EXPECT_FLOAT_EQ(copy.at(9, 0), -42.0f);
+    // The rest of a copied row, and every other row, still read the
+    // base. (Reads go through const references: a mutable at() is a
+    // write access and would copy the row.)
+    const QTable &view = original;
+    EXPECT_EQ(copy.at(7, 1), view.at(7, 1));
+    EXPECT_EQ(copy.at(8, 2), view.at(8, 2));
+    // The original saw none of it.
+    EXPECT_EQ(bitwiseMismatches(original, pristine), 0);
+
+    // Once shared, the original's own writes are private too: the base
+    // stays frozen even after every other reader is gone.
+    {
+        const QTable transient = original;
+    }
+    original.at(1, 1) = 7.0f;
+    EXPECT_EQ(original.privateStates(), (std::vector<int>{1}));
+    EXPECT_EQ(copy.at(1, 1), pristine.at(1, 1));
+    EXPECT_TRUE(copy.sharesBaseWith(pristine));
+
+    // A copy of a copy carries its private rows along.
+    const QTable second = copy;
+    EXPECT_EQ(bitwiseMismatches(second, copy), 0);
+    EXPECT_EQ(second.privateStates(), copy.privateStates());
+}
+
+TEST(QTableCow, RebaseKeepsOnlyRowsThatDiffer)
+{
+    QTable base(20, 4);
+    Rng rng(8);
+    base.randomize(rng, -1.0, 1.0);
+    QTable learner = base;
+    learner.at(2, 0) = 5.0f;
+    learner.at(3, 1) = 6.0f;
+
+    // A snapshot that already holds row 2's new value, but not row 3's.
+    QTable snapshot = base.copyOfBase();
+    snapshot.at(2, 0) = 5.0f;
+    snapshot.at(11, 3) = 9.0f;
+    EXPECT_TRUE(snapshot.privateStates().empty());
+
+    learner.rebase(snapshot);
+    EXPECT_TRUE(learner.sharesBaseWith(snapshot));
+    EXPECT_EQ(learner.privateStates(), (std::vector<int>{3}));
+    EXPECT_FLOAT_EQ(learner.at(2, 0), 5.0f);
+    EXPECT_FLOAT_EQ(learner.at(3, 1), 6.0f);
+    EXPECT_FLOAT_EQ(learner.at(11, 3), 9.0f);
+    EXPECT_EQ(learner.at(3, 0), base.at(3, 0));
+}
+
+TEST(QTableCow, RebaseKeepingValuesOwnsExactlyTheRowsThatDiffer)
+{
+    QTable old(20, 4);
+    Rng rng(9);
+    old.randomize(rng, -1.0, 1.0);
+    QTable straggler = old;
+    straggler.at(4, 2) = 7.0f; // private, differs from the snapshot
+    straggler.at(6, 1) = 8.0f; // private, equals the snapshot's row
+
+    // A snapshot on another base that differs from the straggler's old
+    // base in rows 6, 9 and 15.
+    QTable snapshot = old.copyOfBase();
+    snapshot.at(6, 1) = 8.0f;
+    snapshot.at(9, 0) = 3.0f;
+    snapshot.at(15, 3) = 4.0f;
+    EXPECT_FALSE(straggler.sharesBaseWith(snapshot));
+
+    const QTable before = straggler.copyOfBase();
+    QTable expected = straggler;
+    const std::vector<int> baseDiff =
+        straggler.baseRowsDifferingFrom(snapshot);
+    EXPECT_EQ(baseDiff, (std::vector<int>{6, 9, 15}));
+    straggler.rebaseKeepingValues(snapshot, baseDiff);
+    EXPECT_TRUE(straggler.sharesBaseWith(snapshot));
+    EXPECT_EQ(bitwiseMismatches(straggler, expected), 0);
+    EXPECT_EQ(straggler.privateStates(), (std::vector<int>{4, 9, 15}));
+    EXPECT_EQ(straggler.at(9, 0), before.at(9, 0));
+
+    // Rows read from the snapshot's base copy on write again.
+    const float shared = std::as_const(snapshot).at(0, 0);
+    straggler.at(0, 0) = shared + 1.0f;
+    EXPECT_EQ(std::as_const(snapshot).at(0, 0), shared);
+    EXPECT_EQ(straggler.privateStates().back(), 0);
+
+    // A table equal to the snapshot owns nothing afterwards.
+    QTable same = snapshot.copyOfBase();
+    same.rebaseKeepingValues(snapshot, same.baseRowsDifferingFrom(snapshot));
+    EXPECT_TRUE(same.privateStates().empty());
+    EXPECT_TRUE(same.sharesBaseWith(snapshot));
+}
+
+TEST(QTableCow, CopyOfBaseAndRandomizeLeaveAnUnsharedBase)
+{
+    QTable source(12, 5);
+    Rng rng(4);
+    source.randomize(rng, 0.0, 1.0);
+    QTable copy = source;
+    copy.at(4, 4) = -1.0f;
+
+    QTable base = copy.copyOfBase();
+    EXPECT_FALSE(base.sharesBaseWith(source));
+    EXPECT_TRUE(base.privateStates().empty());
+    EXPECT_EQ(bitwiseMismatches(base, source), 0); // no private rows
+    base.at(0, 0) = 3.0f; // an owned base is written in place
+    EXPECT_TRUE(base.privateStates().empty());
+    EXPECT_TRUE(source.privateStates().empty());
+
+    QTable shared = source;
+    shared.at(1, 1) = 2.0f;
+    Rng again(4);
+    shared.randomize(again, 0.0, 1.0);
+    EXPECT_FALSE(shared.sharesBaseWith(source));
+    EXPECT_TRUE(shared.privateStates().empty());
+    EXPECT_EQ(bitwiseMismatches(shared, source), 0);
+}
+
+TEST(QTableCow, SaveWritesTheValuesNotTheLayout)
+{
+    QTable original(6, 3);
+    Rng rng(13);
+    original.randomize(rng, -2.0, 2.0);
+    QTable shared = original;
+    shared.at(2, 1) = 0.25f;
+    QTable owned = original.copyOfBase();
+    owned.at(2, 1) = 0.25f;
+    ASSERT_EQ(shared.privateStates().size(), 1u);
+    ASSERT_TRUE(owned.privateStates().empty());
+    std::stringstream a;
+    std::stringstream b;
+    shared.save(a);
+    owned.save(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(QTableCow, ThreadsReadOneBaseWhileEachWritesItsOwnRows)
+{
+    // The fleet's shards: every learner reads the one frozen base while
+    // writing private rows of its own table on its own thread.
+    constexpr int kThreads = 4;
+    constexpr int kStates = 256;
+    constexpr int kActions = 16;
+    QTable base(kStates, kActions);
+    Rng rng(21);
+    base.randomize(rng, -1.0, 1.0);
+    const QTable pristine = base;
+    std::vector<QTable> tables(kThreads, base);
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&tables, &base, t] {
+            QTable &table = tables[static_cast<std::size_t>(t)];
+            double sink = 0.0;
+            for (int round = 0; round < 50; ++round) {
+                for (int s = t; s < kStates; s += kThreads) {
+                    table.at(s, round % kActions) += 1.0f;
+                    sink += base.maxValue((s + 1) % kStates);
+                    sink += table.maxValue((s + 2) % kStates);
+                }
+            }
+            EXPECT_TRUE(std::isfinite(sink));
+        });
+    }
+    for (std::thread &thread : threads) {
+        thread.join();
+    }
+
+    EXPECT_EQ(bitwiseMismatches(base, pristine), 0);
+    for (int t = 0; t < kThreads; ++t) {
+        const QTable &table = tables[static_cast<std::size_t>(t)];
+        EXPECT_TRUE(table.sharesBaseWith(base));
+        EXPECT_EQ(table.privateStates().size(),
+                  static_cast<std::size_t>(kStates / kThreads));
+        for (int s = 0; s < kStates; ++s) {
+            for (int a = 0; a < kActions; ++a) {
+                const int writes = s % kThreads == t
+                    ? 50 / kActions + (a < 50 % kActions ? 1 : 0)
+                    : 0;
+                float expected = pristine.at(s, a);
+                for (int w = 0; w < writes; ++w) {
+                    expected += 1.0f;
+                }
+                EXPECT_EQ(table.at(s, a), expected)
+                    << "thread " << t << " cell (" << s << "," << a << ")";
+            }
+        }
+    }
 }
 
 } // namespace

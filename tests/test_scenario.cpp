@@ -297,6 +297,24 @@ TEST(ScenarioSpecBind, ChurnAndOutageSectionsBindTyped)
     EXPECT_TRUE(spec.isSet("infra.outage_ms"));
 }
 
+TEST(ScenarioSpecBind, ChurnProbabilitySumMessageNamesItsKeysOnce)
+{
+    // The message spells out both keys, so it carries no key-path
+    // prefix; it points at the leave_prob line.
+    Diagnostics diags;
+    const Doc doc = scenario::parseScenarioText(
+        "[device]\n"
+        "population = 4\n"
+        "[churn]\n"
+        "crash_prob = 0.7\n"
+        "leave_prob = 0.5\n",
+        "sum.scn", diags);
+    scenario::bindSpec(doc, diags);
+    EXPECT_EQ(diags.render(),
+              "sum.scn:5: churn.crash_prob + churn.leave_prob must"
+              " not exceed 1\n");
+}
+
 // ---------------------------------------------------------------------------
 // Preset equivalence: the library's preset-named scenarios must mean
 // exactly FaultPlan::fromName, field by field. (The byte-identical

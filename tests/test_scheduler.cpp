@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "core/scheduler.h"
@@ -230,6 +231,84 @@ TEST(SchedulerDeath, LoadRejectsForeignTables)
             destination.loadQTable(stream);
         },
         ::testing::ExitedWithCode(1), "fingerprint mismatch");
+}
+
+TEST(Scheduler, WarmBuiltPeerMatchesRandomizeThenTransfer)
+{
+    // A fleet peer built from device 0's scheduler shares its table and
+    // jumps its generator; a peer that randomizes and then transfers
+    // must be indistinguishable from it.
+    const sim::InferenceSimulator sim = mi8Sim();
+    AutoScaleScheduler trained(sim, SchedulerConfig{}, 3);
+    const dnn::Network net = dnn::makeMobileNetV1();
+    const sim::InferenceRequest request = sim::makeRequest(net);
+    Rng rng(4);
+    env::Scenario scenario(env::ScenarioId::D3);
+    for (int i = 0; i < 100; ++i) {
+        const env::EnvState env = scenario.next(rng);
+        trained.feedback(sim.run(net, trained.choose(request, env), env,
+                                 rng));
+    }
+    trained.finishEpisode();
+
+    AutoScaleScheduler transferred(sim, SchedulerConfig{}, 99);
+    transferred.transferFrom(trained);
+    AutoScaleScheduler warm(sim, SchedulerConfig{}, 99, trained);
+    EXPECT_TRUE(warm.agent().table().sharesBaseWith(trained.agent().table()));
+
+    std::uint64_t a[4];
+    std::uint64_t b[4];
+    transferred.agent().rng().state(a);
+    warm.agent().rng().state(b);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(a[i], b[i]);
+    }
+    const QTable &x = transferred.agent().table();
+    const QTable &y = warm.agent().table();
+    for (int s = 0; s < x.numStates(); ++s) {
+        for (int act = 0; act < x.numActions(); ++act) {
+            ASSERT_EQ(x.at(s, act), y.at(s, act));
+        }
+    }
+    // The first draws agree, decision by decision.
+    Rng envA(5);
+    Rng envB(5);
+    env::Scenario scenarioA(env::ScenarioId::D3);
+    env::Scenario scenarioB(env::ScenarioId::D3);
+    for (int i = 0; i < 200; ++i) {
+        const env::EnvState envStateA = scenarioA.next(envA);
+        const env::EnvState envStateB = scenarioB.next(envB);
+        const sim::ExecutionTarget &ta = transferred.choose(request, envStateA);
+        const sim::ExecutionTarget &tb = warm.choose(request, envStateB);
+        ASSERT_TRUE(ta == tb) << "decision " << i;
+        ASSERT_EQ(transferred.lastDecision().explored,
+                  warm.lastDecision().explored);
+        const sim::Outcome outcome = sim.run(net, ta, envStateA, envA);
+        transferred.feedback(outcome);
+        warm.feedback(sim.run(net, tb, envStateB, envB));
+    }
+}
+
+TEST(Scheduler, WarmStartAcrossDevicesFallsBackToTransfer)
+{
+    // Different action spaces: the peer cannot share the table, so it
+    // randomizes and transfers with per-action matching.
+    const sim::InferenceSimulator mi8 = mi8Sim();
+    const sim::InferenceSimulator moto =
+        sim::InferenceSimulator::makeDefault(platform::makeMotoXForce());
+    AutoScaleScheduler source(mi8, SchedulerConfig{}, 6);
+    AutoScaleScheduler transferred(moto, SchedulerConfig{}, 7);
+    transferred.transferFrom(source);
+    AutoScaleScheduler warm(moto, SchedulerConfig{}, 7, source);
+    EXPECT_FALSE(warm.agent().table().sharesBaseWith(
+        source.agent().table()));
+    const QTable &x = transferred.agent().table();
+    const QTable &y = warm.agent().table();
+    for (int s = 0; s < x.numStates(); ++s) {
+        for (int act = 0; act < x.numActions(); ++act) {
+            ASSERT_EQ(x.at(s, act), y.at(s, act));
+        }
+    }
 }
 
 } // namespace
